@@ -3,7 +3,8 @@ Kac-Moody algebras: equivariant bases, PBW straightening, leading-term
 reduction engines, growth data, and integrable-module Hilbert series.
 """
 
-from .scalars import Scalar, format_scalar, parse_scalar
+from .errors import InvariantError
+from .scalars import Omega, div, eta, format_scalar, parse_scalar
 from .root_systems import RootSystem, ChevalleyElement, cartan_matrix
 from .twisted_grading import TwistedBasis, parse_label
 from .loop_affine import (D, FLAVORS, AlgebraSpec, letter_bracket,
@@ -15,7 +16,7 @@ from . import characters
 from .cli import run as cli_run
 
 __all__ = [
-    "Scalar", "format_scalar", "parse_scalar",
+    "InvariantError", "Omega", "div", "eta", "format_scalar", "parse_scalar",
     "RootSystem", "ChevalleyElement", "cartan_matrix",
     "TwistedBasis", "parse_label",
     "D", "FLAVORS", "AlgebraSpec", "letter_bracket",

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .errors import InvariantError
+
 
 class PowerSeries:
     """Truncated power series with exact coefficients c0..cN."""
@@ -138,6 +140,8 @@ def count_partitions(n, parts="all"):
         allowed = range(1, n + 1)
     elif isinstance(parts, tuple) and parts[0] == "mod":
         _, m, rho = parts
+        if m < 1:
+            raise ValueError("the modulus must be >= 1")
         allowed = [p for p in range(1, n + 1) if p % m == rho % m]
     else:
         raise ValueError("unknown parts predicate: %r" % (parts,))
@@ -189,7 +193,8 @@ def odd_case_bound_factorization(k, N):
     if k % 2 != 1:
         raise ValueError("k must be odd")
     exact, flag = hilb_integrable(k, k, N)
-    assert flag
+    if not flag:
+        raise InvariantError("the k1 = k2 series is not exact")
     mid = PowerSeries.one(N)
     j = 0
     while (k + 1) * j + 1 <= N:

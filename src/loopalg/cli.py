@@ -19,8 +19,9 @@ from . import pbw_monomials as pbw
 from . import reduction_engine as re_engine
 from .characters import (asymptotic_ratio, count_partitions, euler_product,
                          hilb_integrable)
+from .errors import InvariantError
 from .loop_affine import D, AlgebraSpec, subalgebra_sl2hat, verify_sl2hat
-from .scalars import parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 VERSION = "1.0"
 
@@ -112,7 +113,7 @@ def parse_element(spec, text):
 
 def parse_monomial(spec, text):
     terms = parse_terms(spec, text)
-    if len(terms) != 1 or not (terms[0][0] - spec.scalar(1)).is_zero():
+    if len(terms) != 1 or terms[0][0] != 1:
         raise UsageError("expected a single monomial with coefficient 1")
     word = terms[0][1]
     if not word:
@@ -125,11 +126,7 @@ def parse_monomial(spec, text):
 def format_chevalley(rs, elem):
     bits = []
     for k in sorted(elem.coeffs):
-        c = elem.coeffs[k]
-        ctext = str(c)
-        if not c.is_rational():
-            ctext = "(%s)" % ctext
-        bits.append("%s*%s" % (ctext, rs.label(k)))
+        bits.append("%s*%s" % (format_scalar(elem.coeffs[k]), rs.label(k)))
     return " + ".join(bits) if bits else "0"
 
 
@@ -167,7 +164,7 @@ def _spec(args, flavor=None):
     from fractions import Fraction
     try:
         level = Fraction(args.level)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError("--level must be a rational number")
     return AlgebraSpec(args.algebra, flavor=flavor or args.flavor,
                        level=level)
@@ -240,15 +237,16 @@ def cmd_reduce(args):
             raise DomainError(
                 "target exponent %d not above uniform threshold %d"
                 % (M[0][1], n))
+    letters = tuple(spec.basis.elements[L[0]] for L in M)
+    plan = re_engine.reduction_plan(spec, F, letters)
     try:
-        H, trace = re_engine.construct_H_M(spec, F, M)
+        H, trace = re_engine.construct_H_M(spec, F, M, plan=plan)
     except re_engine.ThresholdError as exc:
         raise DomainError(
             "target exponent not above threshold %d for this class"
             % exc.threshold)
     if not args.uniform_n:
-        letters = tuple(spec.basis.elements[L[0]] for L in M)
-        n = re_engine.reduction_plan(spec, F, letters)["threshold"]
+        n = plan["threshold"]
     ell = re_engine.min_exponent(F)
     payload = {"h_m": pbw.format_element(spec, H),
                "trace": trace_payload(spec, trace), "n": n, "ell": ell}
@@ -272,6 +270,8 @@ def cmd_growth(args):
         raise UsageError("growth needs --flavor current or poscurrent")
     gens = [parse_element(spec, g) for g in args.ideal_gen]
     J = args.max_md
+    if J < 0:
+        raise DomainError("--max-md must be >= 0")
     amb = gh.ambient_dimension_series(spec, J)
     sat = gh.saturate(spec, gens, J)
     ideal = sat["dims_by_md"]
@@ -285,7 +285,7 @@ def cmd_growth(args):
                 bound = [gh.count_normal_words(
                     len(spec.basis.elements), m, max(n, 1), j)
                     for j in range(J + 1)]
-        except (ValueError, AssertionError):
+        except ValueError:
             bound = None
     rows = []
     tot_i = 0
@@ -307,6 +307,8 @@ def cmd_growth(args):
 def cmd_character(args):
     if args.k1 < 0 or args.k2 < 0 or (args.k1 == 0 and args.k2 == 0):
         raise DomainError("need nonnegative weight labels, not both zero")
+    if args.terms < 0:
+        raise DomainError("--terms must be >= 0")
     series, exact = hilb_integrable(args.k1, args.k2, args.terms)
     payload = {"coefficients": [int(c) for c in series.coeffs],
                "exact": exact}
@@ -349,11 +351,14 @@ def cmd_subalgebra(args):
         data = subalgebra_sl2hat(spec, args.index)
     except (ValueError, IndexError) as exc:
         raise DomainError(str(exc))
-    verify_sl2hat(spec, data)
+    failed = [desc for desc, ok in verify_sl2hat(spec, data) if not ok]
+    if failed:
+        raise InvariantError("affine sl2 families do not close: %s"
+                             % ", ".join(failed))
     k = data["k"]
     payload = {
         "e": pbw.format_element(
-            spec, {((data["e"].index, k),): spec.scalar(1)}),
+            spec, {((data["e"].index, k),): 1}),
         "f": pbw.format_element(
             spec, {((data["f"].index, -k),): data["f_scale"]}),
         "kappa": str(data["kappa"]),

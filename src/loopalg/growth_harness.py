@@ -13,7 +13,9 @@ import math
 from collections import defaultdict
 
 from . import pbw_monomials as pbw
+from .errors import InvariantError
 from .reduction_engine import ReductionTrace
+from .scalars import div
 
 
 def letters_up_to(spec, j):
@@ -96,8 +98,8 @@ class _Echelon:
         vec, piv = self.reduce(vec)
         if piv is None:
             return None
-        inv = vec[piv].inverse()
-        self.rows[piv] = {m: v * inv for m, v in vec.items()}
+        p = vec[piv]
+        self.rows[piv] = {m: div(v, p) for m, v in vec.items()}
         return piv
 
     def __len__(self):
@@ -152,15 +154,15 @@ def saturate(spec, gens, j, with_traces=False, letter_order=None):
             for x in letters:
                 w = abs(x[1]) + 1
                 if md + w <= j and (D + x[1], L + 1) not in full:
-                    nv = pbw.s_product(spec, {(x,): spec.scalar(1)}, vec)
+                    nv = pbw.s_product(spec, {(x,): 1}, vec)
                     t2 = ReductionTrace()
                     t2.steps = tr.steps + [("multiply", x)]
                     queue.append((nv, t2))
                 if md + w - 1 <= j and (D + x[1], L) not in full:
-                    nv = pbw.ad_lines(spec, ((x[0], spec.scalar(1)),), x[1], vec)
+                    nv = pbw.ad_lines(spec, ((x[0], 1),), x[1], vec)
                     if nv:
                         t2 = ReductionTrace()
-                        t2.steps = tr.steps + [("bracket", ((x[0], spec.scalar(1)),), x[1])]
+                        t2.steps = tr.steps + [("bracket", ((x[0], 1),), x[1])]
                         queue.append((nv, t2))
         dims = [0] * (j + 1)
         for (D, L), e in ech.items():
@@ -184,17 +186,17 @@ def saturate(spec, gens, j, with_traces=False, letter_order=None):
                 continue
             records.append((None, vec, tr))
             for x in letters:
-                nv = pbw.s_product(spec, {(x,): spec.scalar(1)}, vec)
+                nv = pbw.s_product(spec, {(x,): 1}, vec)
                 nv = {m: c for m, c in nv.items() if pbw.mono_md(m) <= j}
                 if nv:
                     t2 = ReductionTrace()
                     t2.steps = tr.steps + [("multiply", x)]
                     queue.append((nv, t2))
-                nv = pbw.ad_lines(spec, ((x[0], spec.scalar(1)),), x[1], vec)
+                nv = pbw.ad_lines(spec, ((x[0], 1),), x[1], vec)
                 nv = {m: c for m, c in nv.items() if pbw.mono_md(m) <= j}
                 if nv:
                     t2 = ReductionTrace()
-                    t2.steps = tr.steps + [("bracket", ((x[0], spec.scalar(1)),), x[1])]
+                    t2.steps = tr.steps + [("bracket", ((x[0], 1),), x[1])]
                     queue.append((nv, t2))
         dims = [0] * (j + 1)
         for _, vec, _ in records:
@@ -208,13 +210,14 @@ def saturate(spec, gens, j, with_traces=False, letter_order=None):
 def replay_growth_trace(spec, gens, trace, cutoff=None):
     """Re-run a saturation trace from its seed generator; with a cutoff the
     same md truncation is applied after every step (generic mode)."""
-    assert trace.steps and trace.steps[0][0] == "seed"
+    if not trace.steps or trace.steps[0][0] != "seed":
+        raise InvariantError("a growth trace starts with its seed generator")
     x = gens[trace.steps[0][1]]
     if cutoff is not None:
         x = {m: c for m, c in x.items() if pbw.mono_md(m) <= cutoff}
     for step in trace.steps[1:]:
         if step[0] == "multiply":
-            x = pbw.s_product(spec, {(step[1],): spec.scalar(1)}, x)
+            x = pbw.s_product(spec, {(step[1],): 1}, x)
         else:
             _, lines, e = step
             x = pbw.ad_lines(spec, lines, e, x)
@@ -285,17 +288,17 @@ def check_g0_generates(basis):
                     piv = max(vec)
                     row = ech.get(piv)
                     if row is None:
-                        inv = vec[piv].inverse()
-                        ech[piv] = {k: v * inv for k, v in vec.items()}
+                        p = vec[piv]
+                        ech[piv] = {k: div(v, p) for k, v in vec.items()}
                         rank += 1
                         break
                     c = vec[piv]
                     for k, v in row.items():
-                        nv = vec.get(k, basis.scalar(0)) - v * c
-                        if nv.is_zero():
-                            vec.pop(k, None)
-                        else:
+                        nv = vec.get(k, 0) - v * c
+                        if nv:
                             vec[k] = nv
+                        else:
+                            vec.pop(k, None)
         if rank != len(comp_a):
             return False
     return True

@@ -7,7 +7,8 @@ the central cocycle when the flavor asks for it, with the central element
 specialized to the level.
 """
 
-from .scalars import Scalar
+from .errors import InvariantError
+from .scalars import div, rational
 from .twisted_grading import TwistedBasis
 
 D = ("d",)
@@ -26,7 +27,7 @@ class AlgebraSpec:
         self.basis = basis
         self.flavor = flavor
         self.r = basis.r
-        self.level = basis.scalar(level)
+        self.level = rational(level)
 
     @property
     def allow_d(self):
@@ -37,7 +38,9 @@ class AlgebraSpec:
         return self.flavor in ("affine", "derived")
 
     def scalar(self, x):
-        return Scalar.of(x, self.r)
+        """A rational number as a coefficient: an int when integral,
+        else a Fraction."""
+        return rational(x)
 
     def letter(self, k, n):
         b = self.basis.elements[k]
@@ -97,8 +100,7 @@ def letter_bracket(spec, L1, L2, grmd=False):
         n = L[1]
         if n == 0:
             return {}
-        c = spec.scalar(n if L1 == D else -n)
-        return {(L,): c}
+        return {(L,): n if L1 == D else -n}
     k1, n1 = L1
     k2, n2 = L2
     if grmd and ((n1 > 0 > n2) or (n2 > 0 > n1)):
@@ -107,16 +109,9 @@ def letter_bracket(spec, L1, L2, grmd=False):
     for k, c in spec.basis.line_bracket(k1, k2):
         out[((k, n1 + n2),)] = c
     if spec.has_cocycle and not grmd and n1 + n2 == 0:
-        kap = spec.basis.line_killing(k1, k2)
-        if not kap.is_zero():
-            c = kap * spec.level * n1
-            if not c.is_zero():
-                prev = out.get(())
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    out.pop((), None)
-                else:
-                    out[()] = c
+        c = spec.basis.line_killing(k1, k2) * spec.level * n1
+        if c:
+            out[()] = c
     return out
 
 
@@ -157,7 +152,7 @@ def subalgebra_sl2hat(spec, i):
         lows = [b for b in cands
                 if all(basis.bracket(fj.elem, b.elem).is_zero() for fj in lowering)]
         if len(lows) != 1:
-            raise RuntimeError("lowest-weight line is not unique")
+            raise InvariantError("lowest-weight line is not unique")
         e = lows[0]
         f = None
         for b in basis.component((-1) % r):
@@ -167,11 +162,11 @@ def subalgebra_sl2hat(spec, i):
             if h.is_zero() or any(not basis.rs.is_cartan(kk) for kk in h.coeffs):
                 continue
             c = basis.bracket(h, e.elem).proportional_to(e.elem)
-            if c is not None and not c.is_zero():
+            if c:
                 f = b
                 break
         if f is None:
-            raise RuntimeError("no opposite line for the extending node")
+            raise InvariantError("no opposite line for the extending node")
         k = 1
     else:
         raise ValueError("index must be >= 0")
@@ -182,8 +177,8 @@ def subalgebra_sl2hat(spec, i):
     rep = min(e.orbit)
     k0 = basis.rs.killing(basis.rs.index_of[rep],
                           basis.rs.index_of[tuple(-x for x in rep)])
-    expected = spec.scalar(len(e.orbit) * k0)
-    f_scale = expected / kappa
+    expected = len(e.orbit) * k0
+    f_scale = div(expected, kappa)
     f_elem = f.elem.scale(f_scale)
     h = basis.bracket(e.elem, f_elem)
     return {
@@ -191,9 +186,9 @@ def subalgebra_sl2hat(spec, i):
         "h": h, "k": k,
         "kappa": expected,
         "orbit_size": len(e.orbit),
-        "chevalley_kappa": spec.scalar(k0),
+        "chevalley_kappa": k0,
         # ratio against the untwisted sl2 normalization kappa(e,f) = 4
-        "central_scale": expected / spec.scalar(4),
+        "central_scale": div(expected, 4),
     }
 
 
@@ -215,11 +210,11 @@ def verify_sl2hat(spec, data, span=2):
                    for mo, c in letter_bracket(spec, le, lf).items()}
             want = {}
             for bv, c in hdec:
-                if not c.is_zero():
+                if c:
                     want[((bv.index, r * (n + m)),)] = c
             if spec.has_cocycle and n + m == 0:
                 c0 = data["kappa"] * spec.level * (k + r * n)
-                if not c0.is_zero():
+                if c0:
                     want[()] = c0
             ok = pbw.elem_eq(got, want)
             results.append(("[e t^%d, f t^%d]" % (k + r * n, -k + r * m), ok))

@@ -6,6 +6,7 @@ symmetric algebra and the enveloping algebra; only the product differs.
 """
 
 from .loop_affine import D, letter_bracket
+from .scalars import format_scalar
 
 
 # ----------------------------------------------------------------- elements
@@ -13,10 +14,10 @@ from .loop_affine import D, letter_bracket
 def add_into(acc, mono, c):
     v = acc.get(mono)
     v = c if v is None else v + c
-    if v.is_zero():
-        acc.pop(mono, None)
-    else:
+    if v:
         acc[mono] = v
+    else:
+        acc.pop(mono, None)
 
 
 def elem_add(a, b):
@@ -27,7 +28,7 @@ def elem_add(a, b):
 
 
 def elem_scale(a, c):
-    if c.is_zero():
+    if not c:
         return {}
     return {m: v * c for m, v in a.items()}
 
@@ -38,10 +39,6 @@ def elem_neg(a):
 
 def elem_eq(a, b):
     return a == b
-
-
-def single(spec, letters, c=1):
-    return {mono_sorted(spec, letters): spec.scalar(c)}
 
 
 def mono_sorted(spec, letters):
@@ -88,11 +85,11 @@ def leading(spec, elem, reverse=False):
 
 # -------------------------------------------------------------- products
 
-def straighten(spec, word, coeff=None):
+def straighten(spec, word, coeff=1):
     """Rewrite an arbitrary word of letters as a combination of standard
     monomials of the enveloping algebra, by adjacent transpositions."""
     acc = {}
-    stack = [(tuple(word), spec.scalar(1 if coeff is None else coeff))]
+    stack = [(tuple(word), coeff)]
     while stack:
         w, c = stack.pop()
         pos = -1
@@ -163,12 +160,11 @@ def ad_lines(spec, lines, e, elem):
                     acc[k2] = c if prev is None else prev + c
                 if coc:
                     kap = basis.line_killing(k, k0)
-                    if not kap.is_zero():
+                    if kap:
                         c = ck * kap * spec.level * e
                         const = c if const is None else const + c
-            got = comb[k0] = (
-                [(k2, c) for k2, c in acc.items() if not c.is_zero()],
-                None if const is None or const.is_zero() else const)
+            got = comb[k0] = ([(k2, c) for k2, c in acc.items() if c],
+                              const or None)
         return got
 
     out = {}
@@ -221,10 +217,6 @@ def format_element(spec, elem):
         return "0"
     bits = []
     for m in sorted(elem, key=lambda mo: key_standard(spec, mo), reverse=True):
-        c = elem[m]
-        ctext = str(c)
-        if not c.is_rational():
-            ctext = "(%s)" % ctext
-        term = [ctext] + [spec.format_letter(L) for L in m]
+        term = [format_scalar(elem[m])] + [spec.format_letter(L) for L in m]
         bits.append("*".join(term))
     return " + ".join(bits)

@@ -10,7 +10,8 @@ replayed -- in particular inside the enveloping algebra at any level.
 """
 
 from . import pbw_monomials as pbw
-from .loop_affine import D, AlgebraSpec
+from .errors import InvariantError
+from .loop_affine import D
 
 
 class ThresholdError(ValueError):
@@ -49,7 +50,7 @@ class ReductionTrace:
         x = start
         for step in self.steps:
             if step[0] == "multiply":
-                letter = {(step[1],): spec.scalar(1)}
+                letter = {(step[1],): 1}
                 x = (pbw.u_product if commutator else pbw.s_product)(
                     spec, letter, x)
             elif commutator:
@@ -94,7 +95,6 @@ def kill_positive_action(spec, F, sign="+", trace=None):
         trace = ReductionTrace()
     m = max(len(mo) for mo in F)
     limit = 2 * m * basis.theta_height + 4
-    one = spec.scalar(1)
     rounds = 0
     while True:
         # among the lines that still act nonzero, take the one producing
@@ -102,19 +102,19 @@ def kill_positive_action(spec, F, sign="+", trace=None):
         best = None
         for c in acting:
             q = separating_exponent(spec, c.s, F)
-            G = pbw.ad_lines(spec, ((c.index, one),), q, F)
+            G = pbw.ad_lines(spec, ((c.index, 1),), q, F)
             if G and (best is None or len(G) < len(best[0])):
                 best = (G, c, q)
         if best is None:
             break
         F, c, q = best
-        trace.bracket([(c.index, one)], q)
+        trace.bracket([(c.index, 1)], q)
         rounds += 1
         if rounds > limit:
-            raise RuntimeError("highest-root reduction did not settle")
+            raise InvariantError("highest-root reduction did not settle")
     want = (basis.theta_plus if sign == "+" else basis.theta_minus).index
-    for mo in F:
-        assert all(L[0] == want for L in mo), "support escaped the extreme line"
+    if any(L[0] != want for mo in F for L in mo):
+        raise InvariantError("support escaped the extreme line")
     return F, trace
 
 
@@ -131,17 +131,19 @@ def realize_congruence_class(spec, H, cls, trace=None):
     m = max(len(mo) for mo in H)
     if trace is None:
         trace = ReductionTrace()
-    one = spec.scalar(1)
 
     def act(bv, e, x, times=1):
         for _ in range(times):
-            x = pbw.ad_lines(spec, ((bv.index, one),), e, x)
-            trace.bracket([(bv.index, one)], e)
-            assert x, "bracket unexpectedly vanished during the induction"
+            x = pbw.ad_lines(spec, ((bv.index, 1),), e, x)
+            trace.bracket([(bv.index, 1)], e)
+            if not x:
+                raise InvariantError(
+                    "bracket unexpectedly vanished during the induction")
         return x
 
     lead, _ = pbw.leading(spec, H, reverse=True)
-    assert all(L[0] == tm.index for L in lead)
+    if any(L[0] != tm.index for L in lead):
+        raise InvariantError("leading monomial is off the lowest-root line")
     j = [L[1] for L in lead]
 
     G = H
@@ -154,8 +156,11 @@ def realize_congruence_class(spec, H, cls, trace=None):
     def check(G):
         lead, c = pbw.leading(spec, G, reverse=True)
         want = tuple((cur[i].index, k[i]) for i in range(m))
-        assert lead == want, "leading monomial drifted: %r vs %r" % (lead, want)
-        assert all(k[i] < k[i + 1] for i in range(m - 1))
+        if lead != want:
+            raise InvariantError(
+                "leading monomial drifted: %r vs %r" % (lead, want))
+        if any(k[i] >= k[i + 1] for i in range(m - 1)):
+            raise InvariantError("t-powers not increasing: %r" % (k,))
 
     check(G)
 
@@ -202,15 +207,23 @@ def lift_leading_term(spec, G, a, cls, M, partners, trace=None):
     for jj in range(m, 0, -1):
         _, gsec_elem, gsec_s, _ = partners[jj - 1]
         e = i_exp[m - jj] - a[jj - 1]
-        assert e >= 1, "target t-power below the threshold"
-        assert e % basis.r == gsec_s % basis.r
+        if e < 1 or (e - gsec_s) % basis.r:
+            raise InvariantError("partner t-power %d is not positive in the "
+                                 "class of %d" % (e, gsec_s))
         lines = tuple((bv.index, c) for bv, c in basis.decompose(gsec_elem, gsec_s))
         H = pbw.ad_lines(spec, lines, e, H)
         trace.bracket(lines, e)
-        assert H, "partner bracket vanished"
+        if not H:
+            raise InvariantError("partner bracket vanished")
     lead, c = pbw.leading(spec, H)
-    assert lead == M, "leading term is %r, wanted %r" % (lead, M)
+    if lead != M:
+        raise InvariantError("leading term is %r, wanted %r" % (lead, M))
     return H, trace
+
+
+def _check_targets(lines):
+    if any(b.kind != "root" for b in lines):
+        raise ValueError("reduction targets must run over root lines")
 
 
 def reduction_plan(spec, F, M_letters):
@@ -218,6 +231,9 @@ def reduction_plan(spec, F, M_letters):
     congruence-class element G, its exponents, and the t-power threshold
     for targets over the lines M_letters (a tuple of basis vectors,
     in monomial position order)."""
+    if not any(F):
+        raise ValueError("the generator needs a term with letters")
+    _check_targets(M_letters)
     m = len(M_letters)
     partners = [spec.basis.sl2_partner(M_letters[m - 1 - jj]) for jj in range(m)]
     cls = [p[0] for p in partners]
@@ -232,10 +248,10 @@ def reduction_plan(spec, F, M_letters):
 def construct_H_M(spec, F, M, plan=None):
     """Full pipeline: an element of the subrepresentation generated by F
     whose leading standard monomial is exactly M, with its trace."""
-    letters = [spec.basis.elements[L[0]] for L in M]
-    assert all(b.kind == "root" for b in letters), "targets run over root lines"
+    letters = tuple(spec.basis.elements[L[0]] for L in M)
+    _check_targets(letters)
     if plan is None:
-        plan = reduction_plan(spec, F, tuple(letters))
+        plan = reduction_plan(spec, F, letters)
     if M[0][1] <= plan["threshold"]:
         raise ThresholdError(plan["threshold"], plan["cls"])
     trace = ReductionTrace()
@@ -271,27 +287,28 @@ def project_to_derived(spec, F, trace=None):
     last nonzero stage carries no degree letter."""
     basis = spec.basis
     tp = basis.theta_plus
+    if not F:
+        raise ValueError("cannot project the zero element")
     if trace is None:
         trace = ReductionTrace()
-    one = spec.scalar(1)
     d_deg = max((sum(1 for L in mo if L == D) for mo in F), default=0)
     letters = max((len(mo) for mo in F), default=0)
     limit = d_deg + letters * basis.theta_height + 4
     steps = 0
     while True:
         q = separating_exponent(spec, tp.s, F)
-        G = pbw.ad_lines(spec, ((tp.index, one),), q, F)
+        G = pbw.ad_lines(spec, ((tp.index, 1),), q, F)
         if not G:
-            G2 = pbw.ad_lines(spec, ((tp.index, one),), q + spec.r, F)
-            assert not G2, "vanishing was not uniform across t-powers"
+            if pbw.ad_lines(spec, ((tp.index, 1),), q + spec.r, F):
+                raise InvariantError("vanishing was not uniform across t-powers")
             break
         F = G
-        trace.bracket([(tp.index, one)], q)
+        trace.bracket([(tp.index, 1)], q)
         steps += 1
         if steps > limit:
-            raise RuntimeError("derived projection did not settle")
-    assert F, "projection lost the element"
-    assert all(L != D for mo in F for L in mo), "degree letter survived"
+            raise InvariantError("derived projection did not settle")
+    if any(L == D for mo in F for L in mo):
+        raise InvariantError("degree letter survived")
     return F, trace
 
 

@@ -11,7 +11,7 @@ where b_1 < b_2 < ... enumerates the positive roots by height, ties broken
 lexicographically on coordinates.
 """
 
-from .scalars import Scalar
+from .scalars import div
 
 
 def cartan_matrix(family, rank):
@@ -171,11 +171,11 @@ class RootSystem:
 
     # ------------------------------------------------------------- elements
 
-    def element(self, items=None, r=1):
-        return ChevalleyElement(self, dict(items or {}), r)
+    def element(self, items=None):
+        return ChevalleyElement(self, dict(items or {}))
 
-    def basis_element(self, k, r=1):
-        return ChevalleyElement(self, {k: Scalar(1, 0, r)}, r)
+    def basis_element(self, k):
+        return ChevalleyElement(self, {k: 1})
 
     def bracket(self, x, y):
         out = {}
@@ -185,11 +185,11 @@ class RootSystem:
                 for k, n in self.basis_bracket(p, q):
                     v = out.get(k)
                     v = c * n if v is None else v + c * n
-                    if v.is_zero():
-                        out.pop(k, None)
-                    else:
+                    if v:
                         out[k] = v
-        return ChevalleyElement(self, out, x.r)
+                    else:
+                        out.pop(k, None)
+        return ChevalleyElement(self, out)
 
     def killing(self, p, q):
         """Killing form on basis vectors, trace of ad b_p ad b_q."""
@@ -209,7 +209,7 @@ class RootSystem:
         return tot
 
     def killing_form(self, x, y):
-        tot = Scalar(0, 0, x.r)
+        tot = 0
         for p, cp in x.coeffs.items():
             for q, cq in y.coeffs.items():
                 k = self.killing(p, q)
@@ -225,10 +225,9 @@ class RootSystem:
 
 
 class ChevalleyElement:
-    def __init__(self, rs, coeffs, r=1):
+    def __init__(self, rs, coeffs):
         self.rs = rs
-        self.r = r
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def is_zero(self):
         return not self.coeffs
@@ -238,23 +237,20 @@ class ChevalleyElement:
         for k, v in other.coeffs.items():
             w = out.get(k)
             w = v if w is None else w + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
+            if w:
                 out[k] = w
-        return ChevalleyElement(self.rs, out, self.r)
+            else:
+                out.pop(k, None)
+        return ChevalleyElement(self.rs, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ChevalleyElement(self.rs, {k: -v for k, v in self.coeffs.items()}, self.r)
+        return ChevalleyElement(self.rs, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c):
-        c = Scalar.of(c, self.r)
-        if c.is_zero():
-            return ChevalleyElement(self.rs, {}, self.r)
-        return ChevalleyElement(self.rs, {k: v * c for k, v in self.coeffs.items()}, self.r)
+        return ChevalleyElement(self.rs, {k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return self.rs is other.rs and self.coeffs == other.coeffs
@@ -266,12 +262,12 @@ class ChevalleyElement:
     def proportional_to(self, other):
         """Return c with self = c * other, or None."""
         if other.is_zero():
-            return Scalar(0, 0, self.r) if self.is_zero() else None
+            return 0 if self.is_zero() else None
         if set(self.coeffs) != set(other.coeffs):
             return None
         it = iter(other.coeffs)
         k0 = next(it)
-        c = self.coeffs[k0] / other.coeffs[k0]
+        c = div(self.coeffs[k0], other.coeffs[k0])
         for k, v in other.coeffs.items():
             if self.coeffs[k] != v * c:
                 return None

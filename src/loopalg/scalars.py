@@ -1,188 +1,148 @@
-"""Exact arithmetic in Q(w), w a primitive third root of unity (or w = -1, or 1).
+"""Coefficients: plain rationals, and one small class for Q(w).
 
-Every scalar carries the order ``r`` of the root of unity it was built for.
-For r = 1 and r = 2 the field is plain Q and the w-part must stay zero; for
-r = 3 elements are stored on the basis {1, w} with w^2 = -1 - w.
+For a twist of order r <= 2 every coefficient is rational: a Python
+``int``, or a ``fractions.Fraction`` when it is not integral.  For r = 3
+coefficients lie in Q(w), w a primitive third root of unity with
+w^2 = -1 - w.  A value with a nonzero w-part is an ``Omega``; an
+operation whose result has w-part 0 returns a plain rational instead, so
+rationals are never wrapped and arithmetic never needs to know r.
 
-Rationals are gmpy2.mpq when available (much faster), plain Fraction
-otherwise.
+Exact division goes through ``div``, because ``int / int`` is a float.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
 
-_Q0 = Q(0)
-_Q1 = Q(1)
+def rational(x):
+    """x (an int, a Fraction or a rational string) as an int when it is
+    integral, else as a Fraction."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
-class Scalar:
-    __slots__ = ("r", "a", "b")
+def div(x, y):
+    """Exact x / y; an int when the quotient is integral."""
+    if type(x) is Omega or type(y) is Omega:
+        return x / y
+    return rational(Fraction(x, y))
 
-    def __init__(self, a=0, b=0, r=1):
-        self.a = Q(a)
-        self.b = Q(b)
-        self.r = r
-        if r not in (1, 2, 3):
-            raise ValueError("root-of-unity order must be 1, 2 or 3")
-        if r != 3 and self.b != 0:
-            raise ValueError("w-part only makes sense for r = 3")
 
-    @classmethod
-    def _mk(cls, a, b, r):
-        s = cls.__new__(cls)
-        s.a, s.b, s.r = a, b, r
-        return s
+class Omega:
+    """a + b*w with rational a, b and b != 0."""
 
-    @staticmethod
-    def of(x, r=1):
-        if isinstance(x, Scalar):
-            return x
-        return Scalar(x, 0, r)
+    __slots__ = ("a", "b")
 
-    @staticmethod
-    def eta(r):
-        """The chosen primitive r-th root of unity as a scalar."""
-        if r == 1:
-            return Scalar(1, 0, 1)
-        if r == 2:
-            return Scalar(-1, 0, 2)
-        return Scalar(0, 1, 3)
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
-    def eta_pow(self, k):
-        out = Scalar(1, 0, self.r)
-        root = Scalar.eta(self.r)
-        for _ in range(k % self.r):
-            out = out * root
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.r == self.r:
-                return other
-            if other.b == 0:
-                return Scalar._mk(other.a, _Q0, self.r)
-            raise ValueError("cannot mix scalars of different cyclotomic orders")
-        if isinstance(other, (int, Fraction)):
-            return Scalar._mk(Q(other), _Q0, self.r)
-        return None
-
-    def __add__(self, other):
-        if isinstance(other, Scalar) and other.r == self.r:
-            return Scalar._mk(self.a + other.a, self.b + other.b, self.r)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._mk(self.a + o.a, self.b + o.b, self.r)
+    def __add__(self, o):
+        if type(o) is Omega:
+            b = self.b + o.b
+            return Omega(self.a + o.a, b) if b else self.a + o.a
+        if isinstance(o, (int, Fraction)):
+            return Omega(self.a + o, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._mk(-self.a, -self.b, self.r)
+        return Omega(-self.a, -self.b)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._mk(self.a - o.a, self.b - o.b, self.r)
+    def __sub__(self, o):
+        return self + -o
 
-    def __rsub__(self, other):
-        return -(self - other)
+    def __rsub__(self, o):
+        return -self + o
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Scalar._mk(self.a * other, self.b * other, self.r)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.b == 0 and o.b == 0:
-            return Scalar._mk(self.a * o.a, _Q0, self.r)
-        # (a + bw)(c + dw), w^2 = -1 - w
-        a, b, c, d = self.a, self.b, o.a, o.b
-        bd = b * d
-        return Scalar._mk(a * c - bd, a * d + b * c - bd, 3)
+    def __mul__(self, o):
+        if type(o) is Omega:
+            # (a + bw)(c + dw) with w^2 = -1 - w
+            a, b, c, d = self.a, self.b, o.a, o.b
+            bd = b * d
+            im = a * d + b * c - bd
+            return Omega(a * c - bd, im) if im else a * c - bd
+        if isinstance(o, (int, Fraction)):
+            return Omega(self.a * o, self.b * o) if o else 0
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("scalar is zero")
-        if self.b == 0:
-            return Scalar._mk(_Q1 / self.a, _Q0, self.r)
-        # multiply by the conjugate a + b*w^2 = (a - b) - b*w; norm = a^2 - ab + b^2
+    def _inverse(self):
+        # times the conjugate a + b*w^2 = (a - b) - b*w; the norm
+        # a^2 - ab + b^2 is a nonzero rational
         a, b = self.a, self.b
         n = a * a - a * b + b * b
-        return Scalar._mk((a - b) / n, -b / n, 3)
+        return Omega(div(a - b, n), div(-b, n))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    def __truediv__(self, o):
+        if type(o) is Omega:
+            return self * o._inverse()
+        if isinstance(o, (int, Fraction)):
+            return Omega(div(self.a, o), div(self.b, o))
+        return NotImplemented
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self):
-        return self.b == 0
+    def __rtruediv__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return self._inverse() * o
+        return NotImplemented
 
     def __bool__(self):
-        return not self.is_zero()
+        return True
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+    def __eq__(self, o):
+        return type(o) is Omega and self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
         return hash((self.a, self.b))
 
     def __repr__(self):
-        return "Scalar(%s, %s, r=%d)" % (self.a, self.b, self.r)
+        return "Omega(%r, %r)" % (self.a, self.b)
 
     def __str__(self):
-        return format_scalar(self)
+        if self.b < 0:
+            return "%s-%sw" % (self.a, -self.b)
+        return "%s+%sw" % (self.a, self.b)
 
 
-def format_scalar(s):
-    """Canonical text form: `p/q`, or `p/q+p'/q'w` when a w-part is present."""
-    if s.b == 0:
-        return str(s.a)
-    bs = str(s.b) + "w"
-    if s.b < 0:
-        return "%s-%sw" % (s.a, -s.b)
-    return "%s+%s" % (s.a, bs)
+_ETA_POWERS = {1: (1,), 2: (1, -1), 3: (1, Omega(0, 1), Omega(-1, -1))}
+
+
+def eta(r, k=1):
+    """eta^k, eta the chosen primitive r-th root of unity (r = 1, 2, 3)."""
+    return _ETA_POWERS[r][k % r]
+
+
+def format_scalar(c):
+    """A coefficient as written inside an element: `p/q`, or `(a+bw)`
+    when a w-part is present."""
+    return "(%s)" % c if type(c) is Omega else str(c)
 
 
 def parse_scalar(text, r=1):
-    """Inverse of format_scalar; also accepts bare rationals for any r."""
+    """Inverse of format_scalar; a w-part is accepted only for r = 3."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
-    if "w" not in text:
-        return Scalar(Fraction(text), 0, r)
-    if r != 3:
-        raise ValueError("w-part only allowed for r = 3: %r" % text)
-    body = text[: text.rindex("w")]
-    # split off the rational head from the w coefficient
-    for i in range(len(body) - 1, 0, -1):
-        if body[i] in "+-" and body[i - 1] not in "+-/e":
-            head, wc = body[:i], body[i:]
-            if wc in ("+", "-"):
-                wc += "1"
-            return Scalar(Fraction(head), Fraction(wc), 3)
-    if body in ("", "+"):
-        return Scalar(0, 1, 3)
-    if body == "-":
-        return Scalar(0, -1, 3)
-    return Scalar(0, Fraction(body), 3)
+    try:
+        if "w" not in text:
+            return rational(text)
+        if r != 3:
+            raise ValueError("w-part only allowed for r = 3: %r" % text)
+        body = text[: text.rindex("w")]
+        # split off the rational head from the w coefficient
+        for i in range(len(body) - 1, 0, -1):
+            if body[i] in "+-" and body[i - 1] not in "+-/e":
+                head, wc = body[:i], body[i:]
+                if wc in ("+", "-"):
+                    wc += "1"
+                head, wc = rational(head), rational(wc)
+                return Omega(head, wc) if wc else head
+        if body in ("", "+"):
+            return Omega(0, 1)
+        if body == "-":
+            return Omega(0, -1)
+        wc = rational(body)
+        return Omega(0, wc) if wc else 0
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text)

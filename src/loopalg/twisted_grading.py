@@ -8,8 +8,9 @@ vectors, ordered by their leading Chevalley term.
 
 from collections import deque
 
+from .errors import InvariantError
 from .root_systems import RootSystem
-from .scalars import Scalar
+from .scalars import div, eta
 
 
 def parse_label(label):
@@ -21,10 +22,12 @@ def parse_label(label):
         r = int(tail[1:])
     else:
         head, r = label, 1
-    family = head[0].upper()
+    family = head[:1].upper()
     rank = int(head[1:])
     if family not in ("A", "D", "E"):
         raise ValueError("unsupported family %r (need A, D, or E)" % family)
+    if rank < 1:
+        raise ValueError("rank must be >= 1, got %d" % rank)
     return family, rank, r
 
 
@@ -93,12 +96,6 @@ class TwistedBasis:
     def label(self):
         return "%s%d:r%d" % (self.family, self.rank, self.r)
 
-    def scalar(self, x):
-        return Scalar.of(x, self.r)
-
-    def eta(self, k=1):
-        return Scalar.eta(self.r).eta_pow(k)
-
     # ------------------------------------------------------- the automorphism
 
     def _build_sigma(self):
@@ -153,7 +150,7 @@ class TwistedBasis:
             if k2 in out:
                 v = out[k2] + v
             out[k2] = v
-        return self.rs.element(out.items(), self.r)
+        return self.rs.element(out.items())
 
     # ---------------------------------------------------------- the basis
 
@@ -163,7 +160,7 @@ class TwistedBasis:
         cur = elem
         for j in range(1, self.r):
             cur = self.sigma(cur)
-            acc = acc + cur.scale(self.eta(-s * j))
+            acc = acc + cur.scale(eta(self.r, -s * j))
         return acc
 
     def _build_basis(self):
@@ -180,12 +177,12 @@ class TwistedBasis:
                 orbit.append(j)
                 j = self.perm[j]
             seen.update(orbit)
-            h = rs.basis_element(rs.cartan_index(i + 1), self.r)
+            h = rs.basis_element(rs.cartan_index(i + 1))
             for s in range(self.r):
                 v = self._project(h, s)
                 if v.is_zero():
                     continue
-                v = v.scale(v.coeffs[rs.cartan_index(i + 1)].inverse())
+                v = v.scale(div(1, v.coeffs[rs.cartan_index(i + 1)]))
                 out.append(BasisVector(s, v, v.leading_index(), "cartan", None,
                                        tuple(orbit)))
         # root orbits
@@ -199,39 +196,38 @@ class TwistedBasis:
                 orbit.append(rs.basis_roots[img])
                 img = self._sigma_table[img][0]
             seen.update(orbit)
-            x = rs.basis_element(rs.index_of[b], self.r)
+            x = rs.basis_element(rs.index_of[b])
             for s in range(self.r):
                 v = self._project(x, s)
                 if v.is_zero():
                     continue
-                v = v.scale(v.coeffs[v.leading_index()].inverse())
+                v = v.scale(div(1, v.coeffs[v.leading_index()]))
                 out.append(BasisVector(s, v, v.leading_index(), "root",
                                        rs.height(b) > 0, tuple(orbit)))
         # order each eigenspace by leading Chevalley position
         out.sort(key=lambda bv: (bv.s, bv.lt))
         lts = {}
         for bv in out:
-            assert (bv.s, bv.lt) not in lts, "leading-term clash inside a component"
+            if (bv.s, bv.lt) in lts:
+                raise InvariantError("leading-term clash inside a component")
             lts[(bv.s, bv.lt)] = bv
-        assert len(out) == rs.dim
+        if len(out) != rs.dim:
+            raise InvariantError("the eigenbasis has %d vectors, not %d"
+                                 % (len(out), rs.dim))
         return out
 
     def _attach_weights(self):
         cartan0 = [b for b in self.elements if b.kind == "cartan" and b.s == 0]
         self.cartan0 = cartan0
-        zero = Scalar(0, 0, self.r)
         for b in self.elements:
             w = []
             for h in cartan0:
                 br = self.rs.bracket(h.elem, b.elem)
-                if br.is_zero():
-                    w.append(zero)
-                    continue
-                c = br.proportional_to(b.elem)
-                assert c is not None, "basis vector is not a weight vector"
+                c = 0 if br.is_zero() else br.proportional_to(b.elem)
+                if c is None:
+                    raise InvariantError("%r is not a weight vector" % b)
                 w.append(c)
             b.weight = tuple(w)
-        self.zero_weight = tuple(zero for _ in cartan0)
 
     # ------------------------------------------------------------ queries
 
@@ -261,7 +257,7 @@ class TwistedBasis:
         return self.rs.height(self.rs.highest_root)
 
     def check_equivariance(self, b):
-        return self.sigma(b.elem) == b.elem.scale(self.eta(b.s))
+        return self.sigma(b.elem) == b.elem.scale(eta(self.r, b.s))
 
     def bracket(self, x, y):
         return self.rs.bracket(x, y)
@@ -304,7 +300,7 @@ class TwistedBasis:
             b = by_lt.get(lt)
             if b is None:
                 raise ValueError("element does not lie in component %d" % s)
-            c = rest.coeffs[lt] / b.elem.coeffs[lt]
+            c = div(rest.coeffs[lt], b.elem.coeffs[lt])
             out.append((b, c))
             rest = rest - b.elem.scale(c)
         return out
@@ -342,7 +338,7 @@ class TwistedBasis:
                 if any(not self.rs.is_cartan(k) for k in h.coeffs):
                     continue
                 c = self.rs.bracket(h, b.elem).proportional_to(b.elem)
-                if c is not None and not c.is_zero():
+                if c:
                     res = (b, h, (b.s + p.s) % self.r, c)
                     self._partner_cache[b.index] = res
                     return res
@@ -351,11 +347,11 @@ class TwistedBasis:
                 for gs in roots:
                     br = self.rs.bracket(gs.elem, gp.elem)
                     c = br.proportional_to(b.elem)
-                    if c is not None and not c.is_zero():
+                    if c:
                         res = (gp, gs.elem, gs.s, c)
                         self._partner_cache[b.index] = res
                         return res
-        raise RuntimeError("no sl2 partner found for %r" % b)
+        raise InvariantError("no sl2 partner found for %r" % b)
 
     def chain_from_theta(self, target):
         """Root basis vectors c_1..c_p of the opposite sign with
@@ -394,4 +390,4 @@ class TwistedBasis:
                 if nb.index not in prev:
                     prev[nb.index] = (c, cur.index)
                     queue.append(nb)
-        raise RuntimeError("no chain from the highest-root line to %r" % target)
+        raise InvariantError("no chain from the highest-root line to %r" % target)

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 import time
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from loopalg import reduction_engine as eng
 from loopalg.loop_affine import (D, AlgebraSpec, letter_bracket,
                                  subalgebra_sl2hat, verify_sl2hat)
 from loopalg.root_systems import RootSystem
-from loopalg.scalars import Scalar
+from loopalg.scalars import div, eta
 from loopalg.twisted_grading import TwistedBasis
 
 _TB = {}
@@ -58,18 +59,18 @@ def test_criterion_1_lie_algebra_correctness():
                 + rs.bracket(z, rs.bracket(x, y))
             assert jac.is_zero()
         # Killing Gram matrix has full rank (exact echelon)
-        rows = [[Scalar.of(rs.killing(p, q)) for q in range(dim)]
+        rows = [[rs.killing(p, q) for q in range(dim)]
                 for p in range(dim)]
         rank_count = 0
         for col in range(dim):
             piv = next((i for i in range(rank_count, dim)
-                        if not rows[i][col].is_zero()), None)
+                        if rows[i][col]), None)
             if piv is None:
                 continue
             rows[rank_count], rows[piv] = rows[piv], rows[rank_count]
-            inv = rows[rank_count][col].inverse()
+            inv = div(1, rows[rank_count][col])
             for i in range(rank_count + 1, dim):
-                if not rows[i][col].is_zero():
+                if rows[i][col]:
                     c = rows[i][col] * inv
                     rows[i] = [a - c * b
                                for a, b in zip(rows[i], rows[rank_count])]
@@ -93,14 +94,13 @@ def test_criterion_2_twisted_basis():
 
     def h_combo(basis, coeffs):
         rs = basis.rs
-        return rs.element({rs.cartan_index(i): Scalar.of(c, basis.r)
-                           for i, c in coeffs.items()}, r=basis.r)
+        return rs.element({rs.cartan_index(i): c for i, c in coeffs.items()})
 
     def has_row(basis, s, want):
         rows = [b.elem for b in basis.component(s) if b.kind == "cartan"]
         return any(g.proportional_to(want) is not None for g in rows)
 
-    w = Scalar.eta(3)
+    w = eta(3)
     table = [
         ("A2:r2", 0, {1: 1, 2: 1}), ("A2:r2", 1, {1: 1, 2: -1}),
         ("A3:r2", 0, {1: 1, 3: 1}), ("A3:r2", 0, {2: 1}),
@@ -111,8 +111,8 @@ def test_criterion_2_twisted_basis():
         ("E6:r2", 0, {3: 1}), ("E6:r2", 0, {6: 1}),
         ("E6:r2", 1, {1: 1, 5: -1}), ("E6:r2", 1, {2: 1, 4: -1}),
         ("D4:r3", 0, {1: 1, 3: 1, 4: 1}), ("D4:r3", 0, {2: 1}),
-        ("D4:r3", 1, {1: Scalar(1, 0, 3), 3: w, 4: w.eta_pow(2)}),
-        ("D4:r3", 2, {1: Scalar(1, 0, 3), 3: w.eta_pow(2), 4: w}),
+        ("D4:r3", 1, {1: 1, 3: w, 4: eta(3, 2)}),
+        ("D4:r3", 2, {1: 1, 3: eta(3, 2), 4: w}),
     ]
     for label, s, coeffs in table:
         basis = tb(label)
@@ -270,7 +270,7 @@ def test_criterion_4_reduction_engine():
     replayed = 0
     for label in ["A1:r1", "A2:r2", "D4:r3"]:
         spec = AlgebraSpec(tb(label))
-        rng = random.Random(hash(label) & 0xffff)
+        rng = random.Random(zlib.crc32(label.encode()))
         for m in (1, 2, 3):
             seen_plans = set()
             for F, M, plan in _random_engine_cases(spec, rng, m, 5, 20):
@@ -393,8 +393,8 @@ def test_criterion_8_affine_sl2_subalgebras():
         spec = AlgebraSpec(tb(label), flavor="affine", level=1)
         for i in indices:
             data = subalgebra_sl2hat(spec, i)
-            assert not data["kappa"].is_zero(), (label, i)
-            verify_sl2hat(spec, data)
+            assert data["kappa"] != 0, (label, i)
+            assert all(ok for _, ok in verify_sl2hat(spec, data)), (label, i)
             checked.append((label, i, str(data["kappa"])))
     report(8, True, "families close with cocycle (k+rn)*delta*kappa and "
            "kappa nonzero: %s" % checked)

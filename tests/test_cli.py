@@ -139,3 +139,36 @@ def test_print_parse_identity(capsys):
     text = "1*b4@t^-1*b8@t^3 + (1/2)*d*b2@t^0 + -2/3"
     elem = parse_element(spec, text)
     assert parse_element(spec, pbw.format_element(spec, elem)) == elem
+
+
+def test_reduce_builds_the_plan_once(capsys, monkeypatch):
+    from loopalg import reduction_engine
+    calls = []
+    plan = reduction_engine.reduction_plan
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return plan(*args, **kw)
+
+    monkeypatch.setattr(reduction_engine, "reduction_plan", counted)
+    code, out, _ = invoke(capsys, "reduce", "A1:r1",
+                          "--generator", "1*b3@t^1",
+                          "--target", "1*b1@t^25")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["payload"]["n"] < 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "A1:r1", "--generator", "1", "--target", "1*b1@t^25"],
+    ["reduce", "A1:r1", "--generator", "1*b3@t^1", "--target", "1*b2@t^25"],
+    ["project-derived", "A1:r1", "--elem", "0"],
+    ["growth", "A1:r1", "--ideal-gen", "1*b3@t^1", "--max-md", "-1"],
+    ["bracket", "A1:r1", "1/0*b1@t^0", "1*b3@t^0"],
+    ["basis", "A0"],
+    ["character", "--k1", "1", "--k2", "1", "--terms", "-3"],
+    ["partitions", "--n", "5", "--parts", "mod:0,1"],
+    ["basis", ":r1"],
+])
+def test_bad_input_fails_cleanly(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code in (1, 2) and out == "" and err

@@ -7,6 +7,7 @@ from loopalg import growth_harness as gh
 from loopalg import pbw_monomials as pbw
 from loopalg.loop_affine import AlgebraSpec
 from loopalg.characters import euler_product
+from loopalg.scalars import div
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def brute_force_ideal_dim(spec, gens, j):
     letters = gh.letters_up_to(spec, j)
 
     def to_vec(elem):
-        v = [spec.scalar(0)] * len(monos)
+        v = [0] * len(monos)
         for m, c in elem.items():
             if pbw.mono_md(m) <= j:
                 v[index[m]] = c
@@ -39,11 +40,11 @@ def brute_force_ideal_dim(spec, gens, j):
 
     def insert(vec):
         for col in range(len(monos)):
-            if vec[col].is_zero():
+            if not vec[col]:
                 continue
             row = pivots.get(col)
             if row is None:
-                inv = vec[col].inverse()
+                inv = div(1, vec[col])
                 pivots[col] = [x * inv for x in vec]
                 return True
             c = vec[col]

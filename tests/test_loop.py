@@ -43,7 +43,7 @@ def test_letter_bracket_matches_basis_bracket(spec_cache):
             L1, L2 = (b1.index, b1.s), (b2.index, b2.s)
             got = letter_bracket(spec, L1, L2)
             want = tb.bracket(b1.elem, b2.elem)
-            rebuilt = tb.rs.element({}, r=tb.r)
+            rebuilt = tb.rs.element({})
             for mono, c in got.items():
                 ((k, n),) = mono
                 assert n == b1.s + b2.s
@@ -87,8 +87,8 @@ def test_affine_sl2_families_close(tb_cache, label, indices):
     spec = AlgebraSpec(tb_cache(label), flavor="affine", level=1)
     for i in indices:
         data = subalgebra_sl2hat(spec, i)
-        assert not data["kappa"].is_zero()
-        verify_sl2hat(spec, data)
+        assert data["kappa"] != 0
+        assert all(ok for _, ok in verify_sl2hat(spec, data))
 
 
 def test_affine_sl2_kappa_values(tb_cache):

@@ -3,12 +3,8 @@ in the principal gradation, plus the partition counters and the
 high-precision asymptotic ratio check that back the growth results.
 
 All series arithmetic is exact over the integers; floating point is
-confined to asymptotic_ratio.
+confined to asymptotic_ratio, which imports mpmath when it runs.
 """
-
-from fractions import Fraction
-
-import mpmath
 
 from .errors import InvariantError
 
@@ -94,38 +90,63 @@ def euler_product(exponent_multiplicity, N):
     return out
 
 
+def weyl_kac_numerator(k1, k2, N):
+    """Principally specialized Weyl-Kac numerator of the module with
+    labels (k1, k2), as a dense coefficient list to q^N.
+
+    It sums sign * q^depth over the infinite dihedral Weyl group, acting
+    on the labels of Lambda + rho by s0: (a, b) -> (-a, b + 2a) and
+    s1: (a, b) -> (a + 2b, -b).  Each reflection deepens the weight by
+    the label it reflects, so the two reduced-word chains give O(sqrt N)
+    terms."""
+    num = [0] * (N + 1)
+    num[0] = 1
+    for first in (0, 1):
+        a, b, depth, sign, which = k1 + 1, k2 + 1, 0, 1, first
+        while True:
+            if which == 0:
+                depth, a, b = depth + a, -a, b + 2 * a
+            else:
+                depth, a, b = depth + b, a + 2 * b, -b
+            if depth > N:
+                break
+            sign = -sign
+            num[depth] += sign
+            which ^= 1
+    return num
+
+
 def hilb_integrable(k1, k2, N):
     """Principal-gradation Hilbert series of the integrable module with
     highest-weight labels (k1, k2) over affine sl2.
 
-    For k1 == k2 == k the series is exact (flag True).  For k1 != k2
-    only a coefficientwise lower bound, partitions into odd parts, is
-    returned (flag False): the exact series involves an extra geometric
-    product over an undetermined index set."""
+    The series is the Weyl-Kac numerator over the specialized
+    denominator prod (1 - q^odd)^2 prod (1 - q^even), which by Gauss's
+    identity is theta_4(q) = sum_n (-1)^n q^(n^2); the division is the
+    recurrence f[n] = num[n] - 2 sum_{m >= 1} (-1)^m f[n - m^2].
+
+    For k1 == k2 the series is returned as exact (flag True).  For
+    k1 != k2 only a coefficientwise lower bound, partitions into odd
+    parts (the (1, 0) series), is returned (flag False)."""
     if k1 < 0 or k2 < 0:
         raise ValueError("weight labels must be nonnegative")
     if k1 == 0 and k2 == 0:
         raise ValueError("the (0, 0) module is trivial")
-    if k1 != k2:
-        b = {j: 1 for j in range(1, N + 1, 2)}
-        return euler_product(b, N), False
-    k = k1
-    b = {}
-    for j in range(1, N + 1):
-        if k % 2 == 0:
-            if j % (k + 1) == 0:
-                continue
-            b[j] = 2 if j % 2 == 1 else 1
-        else:
-            if j % (2 * (k + 1)) == 0:
-                continue
-            if j % (k + 1) == 0:
-                b[j] = -1
-            elif j % 2 == 1:
-                b[j] = 2
-            else:
-                b[j] = 1
-    return euler_product(b, N), True
+    exact = k1 == k2
+    f = weyl_kac_numerator(*((k1, k2) if exact else (1, 0)), N)
+    squares = []
+    m = 1
+    while m * m <= N:
+        squares.append((m * m, 2 if m % 2 else -2))
+        m += 1
+    for n in range(1, N + 1):
+        acc = f[n]
+        for sq, c in squares:
+            if sq > n:
+                break
+            acc += c * f[n - sq]
+        f[n] = acc
+    return PowerSeries(f, N), exact
 
 
 def count_partitions(n, parts="all"):
@@ -163,6 +184,8 @@ def asymptotic_ratio(n, dps=50):
     lam = sqrt(n - 1/24); the ratio tends to 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    import mpmath
+
     exact = count_partitions(n, "odd")
     with mpmath.workdps(dps):
         lam = mpmath.sqrt(mpmath.mpf(n) - mpmath.mpf(1) / 24)

@@ -17,8 +17,7 @@ import sys
 from . import growth_harness as gh
 from . import pbw_monomials as pbw
 from . import reduction_engine as re_engine
-from .characters import (asymptotic_ratio, count_partitions, euler_product,
-                         hilb_integrable)
+from .characters import asymptotic_ratio, count_partitions, hilb_integrable
 from .errors import InvariantError
 from .loop_affine import D, AlgebraSpec, subalgebra_sl2hat, verify_sl2hat
 from .scalars import format_scalar, parse_scalar
@@ -373,8 +372,18 @@ def cmd_subalgebra(args):
 
 # ------------------------------------------------------------------ driver
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with -<digit>, such as -3*b1@t^0, as a
+    value rather than an option; no option starts with a digit.  The
+    subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="loopalg",
         description="Exact computations in twisted loop and affine "
                     "Kac-Moody algebras.")

@@ -1,6 +1,37 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import loopalg
 from loopalg import characters as ch
+
+
+def product_formula(k1, k2, N):
+    """The series as an Euler product over a table of exponents b_j: for
+    k1 == k2 == k the principally specialized product formula, for
+    k1 != k2 partitions into odd parts.  An oracle that shares nothing
+    with the Weyl-Kac numerator."""
+    if k1 != k2:
+        return ch.euler_product({j: 1 for j in range(1, N + 1, 2)}, N), False
+    k = k1
+    b = {}
+    for j in range(1, N + 1):
+        if k % 2 == 0:
+            if j % (k + 1) == 0:
+                continue
+            b[j] = 2 if j % 2 == 1 else 1
+        else:
+            if j % (2 * (k + 1)) == 0:
+                continue
+            if j % (k + 1) == 0:
+                b[j] = -1
+            elif j % 2 == 1:
+                b[j] = 2
+            else:
+                b[j] = 1
+    return ch.euler_product(b, N), True
 
 
 def test_euler_product_all_parts_is_partition_numbers():
@@ -45,6 +76,46 @@ def test_hilb_equal_labels_nonnegative_and_dominates(k):
 def test_hilb_k1_small_values():
     s, _ = ch.hilb_integrable(1, 1, 12)
     assert s.coeffs[:6] == [1, 2, 2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 50, 400])
+def test_hilb_matches_product_formula(N):
+    for k1 in range(6):
+        for k2 in range(6):
+            if k1 == k2 == 0:
+                continue
+            series, exact = ch.hilb_integrable(k1, k2, N)
+            want, want_exact = product_formula(k1, k2, N)
+            assert series.N == N
+            assert series.coeffs == want.coeffs, (k1, k2, N)
+            assert exact is want_exact
+
+
+def test_gauss_identity_theta4():
+    """prod (1 - q^odd)^2 prod (1 - q^even) = sum_n (-1)^n q^(n^2), the
+    denominator that hilb_integrable divides by."""
+    N = 500
+    prod = ch.euler_product(
+        {j: -2 if j % 2 else -1 for j in range(1, N + 1)}, N)
+    theta = [0] * (N + 1)
+    theta[0] = 1
+    m = 1
+    while m * m <= N:
+        theta[m * m] = 2 * (-1) ** m
+        m += 1
+    assert prod.coeffs[:5] == [1, -2, 0, 0, 2]
+    assert prod.coeffs == theta
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(loopalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, loopalg; assert 'mpmath' not in sys.modules"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hilb_rejects_trivial_module():

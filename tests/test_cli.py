@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import loopalg
 from loopalg.cli import run
 
 
@@ -172,3 +177,58 @@ def test_reduce_builds_the_plan_once(capsys, monkeypatch):
 def test_bad_input_fails_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code in (1, 2) and out == "" and err
+
+
+def test_character_zero_terms(capsys):
+    code, out, _ = invoke(capsys, "character", "--k1", "1", "--k2", "1",
+                          "--terms", "0")
+    assert code == 0 and out.splitlines() == ["exact", "1"]
+
+
+def test_negative_element_positional(capsys):
+    for argv in (["bracket", "A1:r1", "-3*b1@t^0", "1*b3@t^0"],
+                 ["bracket", "A1:r1", "--", "-3*b1@t^0", "1*b3@t^0"]):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out.strip() == "3*b2@t^0"
+    code, out, _ = invoke(capsys, "leading-term", "A1:r1",
+                          "-1*b3@t^2*b1@t^0", "--order", "reverse")
+    assert code == 0 and out.startswith("b1@t^0*b3@t^2  (coefficient -1)")
+
+
+@pytest.mark.parametrize("argv, option, value, code", [
+    (["reduce", "A1:r1", "--target", "1*b1@t^25"],
+     "--generator", "-1*b3@t^1", 0),
+    (["reduce", "A1:r1", "--generator", "1*b3@t^1"],
+     "--target", "-1*b1@t^25", 2),
+    (["project-derived", "A1:r1"], "--elem", "-1*d*b3@t^1", 0),
+    (["growth", "A1:r1", "--max-md", "3"], "--ideal-gen", "-1*b3@t^1", 0),
+])
+def test_negative_element_option(capsys, argv, option, value, code):
+    spaced = invoke(capsys, *argv, option, value)
+    joined = invoke(capsys, *argv, "%s=%s" % (option, value))
+    assert spaced == joined
+    assert spaced[0] == code and "expected one argument" not in spaced[2]
+
+
+_GRAMMAR = st.text(alphabet="0123456789bdtw@^*+-/() e.")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(st.text(), _GRAMMAR))
+def test_element_grammar_fuzz(capsys, text):
+    assert run(["leading-term", "A1:r1", "--", text]) in (0, 1, 2)
+    assert run(["project-derived", "A1:r1", "--elem=" + text]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+def test_python_m_loopalg():
+    src = os.path.dirname(os.path.dirname(loopalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopalg", "character", "--k1", "1",
+         "--k2", "1", "--terms", "5"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == ["exact", "1 2 2 4 6 8"]

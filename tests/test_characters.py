@@ -1,10 +1,5 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-import loopalg
 from loopalg import characters as ch
 
 
@@ -105,17 +100,6 @@ def test_gauss_identity_theta4():
         m += 1
     assert prod.coeffs[:5] == [1, -2, 0, 0, 2]
     assert prod.coeffs == theta
-
-
-def test_import_leaves_mpmath_unloaded():
-    src = os.path.dirname(os.path.dirname(loopalg.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, loopalg; assert 'mpmath' not in sys.modules"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_hilb_rejects_trivial_module():

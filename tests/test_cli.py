@@ -210,10 +210,12 @@ def test_negative_element_option(capsys, argv, option, value, code):
     assert spaced[0] == code and "expected one argument" not in spaced[2]
 
 
-_GRAMMAR = st.text(alphabet="0123456789bdtw@^*+-/() e.")
+# no "e": an exponent scalar such as 1e9999999 is computed in full, which
+# would make the test slow rather than show a wrong exit code
+_GRAMMAR = st.text(alphabet="0123456789bdtw@^*+-/() ")
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.one_of(st.text(), _GRAMMAR))
 def test_element_grammar_fuzz(capsys, text):
@@ -222,13 +224,23 @@ def test_element_grammar_fuzz(capsys, text):
     capsys.readouterr()
 
 
-def test_python_m_loopalg():
+def run_python(*args):
+    """Run a fresh interpreter that imports loopalg from this checkout."""
     src = os.path.dirname(os.path.dirname(loopalg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "loopalg", "character", "--k1", "1",
-         "--k2", "1", "--terms", "5"],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_m_loopalg():
+    proc = run_python("-m", "loopalg", "character", "--k1", "1", "--k2", "1",
+                      "--terms", "5")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines() == ["exact", "1 2 2 4 6 8"]
+
+
+def test_import_leaves_mpmath_unloaded():
+    proc = run_python(
+        "-c", "import sys, loopalg; sys.exit('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,10 @@ Kac-Moody algebras: equivariant bases, PBW straightening, leading-term
 reduction engines, growth data, and integrable-module Hilbert series.
 """
 
+# set before the submodule imports, since cli imports it; pyproject.toml
+# reads the package version from here as well
+__version__ = "1.0"
+
 from .errors import InvariantError
 from .scalars import Omega, div, eta, format_scalar, parse_scalar
 from .root_systems import RootSystem, ChevalleyElement, cartan_matrix
@@ -24,5 +28,3 @@ __all__ = [
     "pbw_monomials", "reduction_engine", "growth_harness", "characters",
     "cli_run",
 ]
-
-__version__ = "1.0.0"

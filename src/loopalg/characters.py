@@ -6,8 +6,6 @@ All series arithmetic is exact over the integers; floating point is
 confined to asymptotic_ratio, which imports mpmath when it runs.
 """
 
-from .errors import InvariantError
-
 
 class PowerSeries:
     """Truncated power series with exact coefficients c0..cN."""
@@ -33,17 +31,6 @@ class PowerSeries:
     def __getitem__(self, i):
         return self.coeffs[i]
 
-    def __mul__(self, other):
-        N = min(self.N, other.N)
-        out = [0] * (N + 1)
-        for i, a in enumerate(self.coeffs[: N + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: N + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, N)
-
     def dominates(self, other):
         """Coefficientwise >= up to the shorter truncation."""
         N = min(self.N, other.N)
@@ -52,23 +39,6 @@ class PowerSeries:
 
     def __repr__(self):
         return "PowerSeries(%r)" % (self.coeffs,)
-
-
-def geometric_factor(j, power, N):
-    """(1 - s^j)^(-power) truncated at N; power may be negative."""
-    out = PowerSeries.one(N)
-    if power >= 0:
-        # 1/(1-s^j) repeated: cumulative sums with stride j
-        for _ in range(power):
-            c = out.coeffs
-            for i in range(j, N + 1):
-                c[i] += c[i - j]
-    else:
-        for _ in range(-power):
-            c = out.coeffs
-            for i in range(N, j - 1, -1):
-                c[i] -= c[i - j]
-    return out
 
 
 def euler_product(exponent_multiplicity, N):
@@ -192,40 +162,3 @@ def asymptotic_ratio(n, dps=50):
         formula = mpmath.e ** (mpmath.pi * lam / mpmath.sqrt(3)) / (
             4 * mpmath.power(3, mpmath.mpf(1) / 4) * lam ** mpmath.mpf(1.5))
         return float(mpmath.mpf(exact) / formula)
-
-
-def superpoly_witness(series, degrees):
-    """For each degree c report the first index n with c_n > n^c, or None
-    when the truncation is too short to exhibit one."""
-    report = {}
-    for c in degrees:
-        found = None
-        for n in range(1, series.N + 1):
-            if series[n] > n ** c:
-                found = n
-                break
-        report[c] = found
-    return report
-
-
-def odd_case_bound_factorization(k, N):
-    """For odd k, the two sides of the factorized lower bound: the exact
-    Hilbert series, and the product of (1+s^((k+1)(2j+1)/2)) over
-    1/(1-s^((k+1)j+1)).  The first dominates the second, which dominates
-    plain partitions into parts congruent to 1 mod k+1."""
-    if k % 2 != 1:
-        raise ValueError("k must be odd")
-    exact, flag = hilb_integrable(k, k, N)
-    if not flag:
-        raise InvariantError("the k1 = k2 series is not exact")
-    mid = PowerSeries.one(N)
-    j = 0
-    while (k + 1) * j + 1 <= N:
-        mid = mid * geometric_factor((k + 1) * j + 1, 1, N)
-        half = (k + 1) * (2 * j + 1) // 2
-        if half <= N:
-            mid = mid * PowerSeries([1] + [0] * (half - 1) + [1], N)
-        j += 1
-    low = euler_product(
-        {(k + 1) * j + 1: 1 for j in range(0, N // (k + 1) + 1)}, N)
-    return exact, mid, low

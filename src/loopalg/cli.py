@@ -14,6 +14,7 @@ import json
 import re
 import sys
 
+from . import __version__ as VERSION
 from . import growth_harness as gh
 from . import pbw_monomials as pbw
 from . import reduction_engine as re_engine
@@ -21,8 +22,6 @@ from .characters import asymptotic_ratio, count_partitions, hilb_integrable
 from .errors import InvariantError
 from .loop_affine import D, AlgebraSpec, subalgebra_sl2hat, verify_sl2hat
 from .scalars import format_scalar, parse_scalar
-
-VERSION = "1.0"
 
 _LETTER_RE = re.compile(r"^b(\d+)@t\^(-?\d+)$")
 
@@ -160,11 +159,10 @@ def _emit(args, command, payload, text_lines, csv_rows=None):
 
 
 def _spec(args, flavor=None):
-    from fractions import Fraction
     try:
-        level = Fraction(args.level)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError("--level must be a rational number")
+        level = parse_scalar(args.level)
+    except ValueError:
+        raise UsageError("--level must be a rational number p or p/q")
     return AlgebraSpec(args.algebra, flavor=flavor or args.flavor,
                        level=level)
 

@@ -1,16 +1,20 @@
 """Exact growth data for Poisson ideals of (positive) current algebras.
 
 The filtration weight of a monomial is md = sum over letters of
-(|t-power| + 1).  For current-algebra letters both multiply-by-letter and
-bracket-with-letter never decrease md (brackets with t-power-0 letters
-preserve it), so the intersection of an ideal with a filtration stage can
-be computed by saturating under those two operation families below the
-md cutoff.  For generators that are homogeneous in (degree, length) the
-saturation splits into finite bigraded pieces and stays exact and fast.
+(t-power + 1).  Multiplying by a letter x*t^n raises md by n + 1 and
+bracketing with it raises md by n, so neither operation lowers md and
+the ideal generated by md-homogeneous elements is md-graded: its
+intersection with a filtration stage F_j is the sum of its pieces of
+md <= j, and saturating below the cutoff loses nothing.  The saturation
+splits into pieces keyed by (md, length) when every generator is also
+homogeneous in length, and by md alone otherwise; each piece is a finite
+echelon whose capacity is counted from the letter generating function.
+Generators that are not md-homogeneous are rejected.
 """
 
 import math
 from collections import defaultdict
+from itertools import accumulate
 
 from . import pbw_monomials as pbw
 from .errors import InvariantError
@@ -34,42 +38,24 @@ def letters_up_to(spec, j):
     return out
 
 
-def monomials_up_to(spec, j):
-    """Every standard monomial of md <= j (including the empty one)."""
-    letters = letters_up_to(spec, j)
-    mds = [abs(n) + 1 for _, n in letters]
-    out = []
-
-    def rec(i, room, acc):
-        out.append(tuple(acc))
-        for k in range(i, len(letters)):
-            if mds[k] <= room:
-                acc.append(letters[k])
-                rec(k, room - mds[k], acc)
-                acc.pop()
-
-    rec(0, j, [])
-    return out
+def _count_table(spec, J):
+    """c[M][L], the number of standard monomials of md M and length L for
+    M, L <= J: the coefficients of the product over letters x*t^n of
+    1/(1 - q^(n+1) z), multiplied in one letter at a time."""
+    c = [[0] * (J + 1) for _ in range(J + 1)]
+    c[0][0] = 1
+    for _, n in letters_up_to(spec, J):
+        w = n + 1
+        for M in range(w, J + 1):
+            row, src = c[M], c[M - w]
+            for L in range(1, M + 1):
+                row[L] += src[L - 1]
+    return c
 
 
 def md_series(spec, J):
     """Number of standard monomials of md exactly k, for k = 0..J."""
-    counts = [0] * (J + 1)
-    for m in monomials_up_to(spec, J):
-        counts[pbw.mono_md(m)] += 1
-    return counts
-
-
-def _mono_bigrade(m):
-    return (pbw.mono_deg(m), len(m))
-
-
-def _is_bihomogeneous(gens):
-    for g in gens:
-        grades = {_mono_bigrade(m) for m in g}
-        if len(grades) > 1:
-            return False
-    return True
+    return [sum(row) for row in _count_table(spec, J)]
 
 
 class _Echelon:
@@ -107,169 +93,89 @@ class _Echelon:
 
 
 def saturate(spec, gens, j, with_traces=False, letter_order=None):
-    """The ideal generated by `gens` under multiply-by-letter and
-    bracket-with-letter, cut at md <= j.
+    """The ideal generated by the md-homogeneous `gens` under
+    multiply-by-letter and bracket-with-letter, cut at md <= j.
 
-    Returns a dict with per-md dimensions, the basis records, and the
-    bigraded piece table when the generators are (deg, len) homogeneous.
-    letter_order permutes the processing order; the dimensions are
-    order-independent."""
-    bigraded = _is_bihomogeneous(gens)
+    Returns a dict with the per-md dimensions and, with_traces, the basis
+    records (piece, vector, trace).  A piece is keyed by (md, length) when
+    every generator is homogeneous in both, else by (md, 0).  letter_order
+    permutes the processing order; the dimensions are order-independent."""
+    grades = [{(pbw.mono_md(m), len(m)) for m in g} for g in gens if g]
+    if any(len({M for M, _ in gr}) > 1 for gr in grades):
+        raise ValueError("growth needs md-homogeneous ideal generators")
+    lw = int(all(len(gr) == 1 for gr in grades))
+    table = _count_table(spec, j)
+    capacity = table if lw else [[sum(row)] for row in table]
     letters = letters_up_to(spec, j)
     if letter_order is not None:
         letters = letter_order(letters)
+    ech = defaultdict(lambda: _Echelon(spec))
+    full = set()
     records = []
-    if bigraded:
-        capacity = defaultdict(int)
-        for m in monomials_up_to(spec, j):
-            capacity[_mono_bigrade(m)] += 1
-        ech = defaultdict(lambda: _Echelon(spec))
-        full = set()
-
-        def grade_of(vec):
-            return _mono_bigrade(next(iter(vec)))
-
-        queue = []
-        for gi, g in enumerate(gens):
-            if g and pbw.mono_md(max(g, key=pbw.mono_md)) <= j:
-                tr = ReductionTrace()
-                tr.steps.append(("seed", gi))
-                queue.append((g, tr))
-        qi = 0
-        while qi < len(queue):
-            vec, tr = queue[qi]
-            qi += 1
-            P = grade_of(vec)
-            if P in full:
-                continue
-            e = ech[P]
-            piv = e.insert(vec)
-            if piv is None:
-                continue
-            records.append((P, vec, tr))
-            if len(e) == capacity[P]:
-                full.add(P)
-            D, L = P
-            md = D + L
-            for x in letters:
-                w = abs(x[1]) + 1
-                if md + w <= j and (D + x[1], L + 1) not in full:
-                    nv = pbw.s_product(spec, {(x,): 1}, vec)
-                    t2 = ReductionTrace()
-                    t2.steps = tr.steps + [("multiply", x)]
-                    queue.append((nv, t2))
-                if md + w - 1 <= j and (D + x[1], L) not in full:
-                    nv = pbw.ad_lines(spec, ((x[0], 1),), x[1], vec)
-                    if nv:
-                        t2 = ReductionTrace()
-                        t2.steps = tr.steps + [("bracket", ((x[0], 1),), x[1])]
-                        queue.append((nv, t2))
-        dims = [0] * (j + 1)
-        for (D, L), e in ech.items():
-            dims[D + L] += len(e)
-    else:
-        # generic fallback: one global echelon, truncating above the cutoff
-        e = _Echelon(spec)
-        queue = []
-        for gi, g in enumerate(gens):
-            gt = {m: c for m, c in g.items() if pbw.mono_md(m) <= j}
-            if gt:
-                tr = ReductionTrace()
-                tr.steps.append(("seed", gi))
-                queue.append((gt, tr))
-        qi = 0
-        basis = []
-        while qi < len(queue):
-            vec, tr = queue[qi]
-            qi += 1
-            if e.insert(dict(vec)) is None:
-                continue
-            records.append((None, vec, tr))
-            for x in letters:
-                nv = pbw.s_product(spec, {(x,): 1}, vec)
-                nv = {m: c for m, c in nv.items() if pbw.mono_md(m) <= j}
+    queue = [(g, (("seed", gi),)) for gi, g in enumerate(gens)
+             if g and pbw.mono_md(next(iter(g))) <= j]
+    # the loop also visits the candidates it appends
+    for vec, steps in queue:
+        m = next(iter(vec))
+        M, L = pbw.mono_md(m), len(m) * lw
+        if (M, L) in full:
+            continue
+        e = ech[M, L]
+        if e.insert(vec) is None:
+            continue
+        records.append(((M, L), vec, steps))
+        if len(e) == capacity[M][L]:
+            full.add((M, L))
+        for x in letters:
+            n = x[1]
+            if M + n + 1 <= j and (M + n + 1, L + lw) not in full:
+                queue.append((pbw.s_product(spec, {(x,): 1}, vec),
+                              steps + (("multiply", x),)))
+            if M + n <= j and (M + n, L) not in full:
+                nv = pbw.ad_lines(spec, ((x[0], 1),), n, vec)
                 if nv:
-                    t2 = ReductionTrace()
-                    t2.steps = tr.steps + [("multiply", x)]
-                    queue.append((nv, t2))
-                nv = pbw.ad_lines(spec, ((x[0], 1),), x[1], vec)
-                nv = {m: c for m, c in nv.items() if pbw.mono_md(m) <= j}
-                if nv:
-                    t2 = ReductionTrace()
-                    t2.steps = tr.steps + [("bracket", ((x[0], 1),), x[1])]
-                    queue.append((nv, t2))
-        dims = [0] * (j + 1)
-        for _, vec, _ in records:
-            dims[max(pbw.mono_md(m) for m in vec)] += 1
-    out = {"dims_by_md": dims, "bigraded": bigraded}
+                    queue.append((nv, steps + (("bracket", ((x[0], 1),), n),)))
+    dims = [0] * (j + 1)
+    for (M, _), e in ech.items():
+        dims[M] += len(e)
+    out = {"dims_by_md": dims}
     if with_traces:
-        out["basis"] = records
+        out["basis"] = [(P, vec, _trace(steps)) for P, vec, steps in records]
     return out
 
 
-def replay_growth_trace(spec, gens, trace, cutoff=None):
-    """Re-run a saturation trace from its seed generator; with a cutoff the
-    same md truncation is applied after every step (generic mode)."""
+def _trace(steps):
+    tr = ReductionTrace()
+    tr.steps = list(steps)
+    return tr
+
+
+def replay_growth_trace(spec, gens, trace):
+    """Re-run a saturation trace from its seed generator."""
     if not trace.steps or trace.steps[0][0] != "seed":
         raise InvariantError("a growth trace starts with its seed generator")
-    x = gens[trace.steps[0][1]]
-    if cutoff is not None:
-        x = {m: c for m, c in x.items() if pbw.mono_md(m) <= cutoff}
-    for step in trace.steps[1:]:
-        if step[0] == "multiply":
-            x = pbw.s_product(spec, {(step[1],): 1}, x)
-        else:
-            _, lines, e = step
-            x = pbw.ad_lines(spec, lines, e, x)
-        if cutoff is not None:
-            x = {m: c for m, c in x.items() if pbw.mono_md(m) <= cutoff}
-    return x
-
-
-def filtered_ideal_dimension(spec, gens, j, **kw):
-    return sum(saturate(spec, gens, j, **kw)["dims_by_md"][: j + 1])
+    return _trace(trace.steps[1:]).replay(spec, gens[trace.steps[0][1]])
 
 
 def quotient_dimension_series(spec, gens, J):
     """dim F_j / (I cut at F_j) for j = 0..J, in one saturation run."""
-    amb = md_series(spec, J)
-    sat = saturate(spec, gens, J)
-    ideal = sat["dims_by_md"]
-    out = []
-    tot_a = tot_i = 0
-    for j in range(J + 1):
-        tot_a += amb[j]
-        tot_i += ideal[j]
-        out.append(tot_a - tot_i)
-    return out
+    ideal = accumulate(saturate(spec, gens, J)["dims_by_md"])
+    return [a - i for a, i in zip(ambient_dimension_series(spec, J), ideal)]
 
 
 def ambient_dimension_series(spec, J):
-    amb = md_series(spec, J)
-    out, tot = [], 0
-    for j in range(J + 1):
-        tot += amb[j]
-        out.append(tot)
-    return out
+    return list(accumulate(md_series(spec, J)))
 
 
 # ------------------------------------------------------------- counting
 
-def count_normal_words(dim_g, m, n, j, with_d=False, negative_side=False):
+def count_normal_words(dim_g, m, n, j):
     """Upper bound for the number of normal words at filtration stage j
     produced by a reduction engine with window length m and t-power
     threshold n: a binomial count for the bounded-t-power prefix times a
-    polynomial count for the short tail.  with_d widens the bounded part
-    to two-sided exponents plus the degree letter; negative_side squares
-    the tail count to cover both exponent signs."""
-    if with_d:
-        b = math.comb(dim_g * (2 * n - 1) + 1 + j, j)
-    else:
-        b = math.comb(dim_g * n + j, j)
+    polynomial count for the short tail."""
     c = (j * dim_g) ** (m - 1) if j > 0 else 1
-    if negative_side:
-        c = c * c
-    return b * c
+    return math.comb(dim_g * n + j, j) * c
 
 
 def check_g0_generates(basis):

@@ -76,11 +76,6 @@ class AlgebraSpec:
         k, n = L
         return (2 * n, k)
 
-    def letter_md(self, L):
-        if L == D:
-            return 1
-        return abs(L[1]) + 1
-
     def format_letter(self, L):
         if L == D:
             return "d"
@@ -196,7 +191,6 @@ def verify_sl2hat(spec, data, span=2):
     """Check the bracket closure of the three t-power families of an
     affine sl2 subalgebra over a window of exponents.  Returns a list of
     (description, ok) pairs."""
-    from . import pbw_monomials as pbw
     basis = spec.basis
     r, k = basis.r, data["k"]
     e, f, h = data["e"], data["f"], data["h"]
@@ -216,8 +210,8 @@ def verify_sl2hat(spec, data, span=2):
                 c0 = data["kappa"] * spec.level * (k + r * n)
                 if c0:
                     want[()] = c0
-            ok = pbw.elem_eq(got, want)
-            results.append(("[e t^%d, f t^%d]" % (k + r * n, -k + r * m), ok))
+            results.append(("[e t^%d, f t^%d]" % (k + r * n, -k + r * m),
+                            got == want))
             # h-family on e and f stays inside the families
             for bv, c in hdec:
                 lh = (bv.index, r * n)

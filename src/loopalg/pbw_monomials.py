@@ -27,18 +27,8 @@ def elem_add(a, b):
     return out
 
 
-def elem_scale(a, c):
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
 def elem_neg(a):
     return {m: -v for m, v in a.items()}
-
-
-def elem_eq(a, b):
-    return a == b
 
 
 def mono_sorted(spec, letters):
@@ -51,10 +41,6 @@ def is_standard(spec, word):
 
 
 # ------------------------------------------------------------------- sizes
-
-def mono_len(m):
-    return len(m)
-
 
 def mono_deg(m):
     return sum(L[1] for L in m if L != D)

@@ -33,9 +33,6 @@ class ReductionTrace:
     def bracket(self, lines, exponent):
         self.steps.append(("bracket", tuple(lines), exponent))
 
-    def multiply(self, letter):
-        self.steps.append(("multiply", letter))
-
     def extend(self, other):
         self.steps.extend(other.steps)
 

@@ -10,7 +10,10 @@ rationals are never wrapped and arithmetic never needs to know r.
 Exact division goes through ``div``, because ``int / int`` is a float.
 """
 
+import re
 from fractions import Fraction
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational(x):
@@ -119,30 +122,43 @@ def format_scalar(c):
     return "(%s)" % c if type(c) is Omega else str(c)
 
 
+def _parse_rational(text):
+    """An optional sign, digits and an optional /digits; nothing else
+    reaches Fraction, which would expand an exponent such as 1e9999999
+    in full."""
+    text = text.strip()
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError("expected p or p/q, got %r" % text)
+    return rational(text)
+
+
 def parse_scalar(text, r=1):
-    """Inverse of format_scalar; a w-part is accepted only for r = 3."""
+    """Inverse of format_scalar: `p`, `p/q`, or `(a+bw)` with a w-part
+    accepted only for r = 3."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
     try:
         if "w" not in text:
-            return rational(text)
+            return _parse_rational(text)
         if r != 3:
             raise ValueError("w-part only allowed for r = 3: %r" % text)
-        body = text[: text.rindex("w")]
+        if not text.endswith("w"):
+            raise ValueError("expected (a+bw), got %r" % text)
+        body = text[:-1]
         # split off the rational head from the w coefficient
         for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "+-/e":
+            if body[i] in "+-" and body[i - 1] not in "+-/":
                 head, wc = body[:i], body[i:]
                 if wc in ("+", "-"):
                     wc += "1"
-                head, wc = rational(head), rational(wc)
+                head, wc = _parse_rational(head), _parse_rational(wc)
                 return Omega(head, wc) if wc else head
         if body in ("", "+"):
             return Omega(0, 1)
         if body == "-":
             return Omega(0, -1)
-        wc = rational(body)
+        wc = _parse_rational(body)
         return Omega(0, wc) if wc else 0
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text)

@@ -355,7 +355,7 @@ def test_criterion_6_growth_dichotomy():
     # saturation vs the independent oracle at small scale
     from test_growth import brute_force_ideal_dim
     for j in range(2, 7):
-        assert gh.filtered_ideal_dimension(spec, [gen], j) == \
+        assert sum(gh.saturate(spec, [gen], j)["dims_by_md"]) == \
             brute_force_ideal_dim(spec, [gen], j)
     dt = time.time() - t0
     ok = dt < 600

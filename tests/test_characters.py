@@ -107,10 +107,28 @@ def test_hilb_rejects_trivial_module():
         ch.hilb_integrable(0, 0, 10)
 
 
+def factorized_bound(k, N):
+    """For odd k, prod 1/(1 - s^((k+1)j+1)) * prod (1 + s^h) with
+    h = (k+1)(2j+1)/2, as one Euler product: 1 + s^h is
+    (1 - s^(2h)) / (1 - s^h)."""
+    b = {}
+    for j in range(N // (k + 1) + 1):
+        h = (k + 1) * (2 * j + 1) // 2
+        for e, m in (((k + 1) * j + 1, 1), (h, 1), (2 * h, -1)):
+            b[e] = b.get(e, 0) + m
+    return ch.euler_product(b, N)
+
+
 def test_odd_case_factorized_bound_chain():
-    exact, mid, low = ch.odd_case_bound_factorization(1, 100)
-    assert exact.dominates(mid)
-    assert mid.dominates(low)
+    N = 100
+    for k in (1, 3):
+        exact, flag = ch.hilb_integrable(k, k, N)
+        mid = factorized_bound(k, N)
+        low = ch.euler_product(
+            {(k + 1) * j + 1: 1 for j in range(0, N // (k + 1) + 1)}, N)
+        assert flag
+        assert exact.dominates(mid), k
+        assert mid.dominates(low), k
 
 
 def test_count_partitions():
@@ -143,12 +161,3 @@ def test_asymptotic_ratio():
     assert abs(ratios[-1] - 1) < 0.05
     assert abs(1 - ratios[0]) > abs(1 - ratios[1]) > abs(1 - ratios[2])
 
-
-def test_superpoly_witness():
-    p = ch.euler_product({j: 1 for j in range(1, 61)}, 60)
-    rep = ch.superpoly_witness(p, [2])
-    assert rep[2] is not None and rep[2] < 60
-    const = ch.PowerSeries([1] * 21)
-    assert ch.superpoly_witness(const, [1]) == {1: None}
-    r = ch.euler_product({j: 1 for j in range(1, 2001, 2)}, 2000)
-    assert ch.superpoly_witness(r, [3])[3] is not None

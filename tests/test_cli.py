@@ -28,7 +28,8 @@ def test_basis_a2_r2(capsys):
 def test_basis_json_shape(capsys):
     code, out, _ = invoke(capsys, "basis", "D4:r3", "--emit", "json")
     doc = json.loads(out)
-    assert doc["command"] == "basis" and doc["version"]
+    assert doc["command"] == "basis"
+    assert doc["version"] == loopalg.__version__
     assert len(doc["payload"]) == 28
     assert [r["sigma_weight"] for r in doc["payload"]] == \
         sorted(r["sigma_weight"] for r in doc["payload"])
@@ -173,6 +174,10 @@ def test_reduce_builds_the_plan_once(capsys, monkeypatch):
     ["character", "--k1", "1", "--k2", "1", "--terms", "-3"],
     ["partitions", "--n", "5", "--parts", "mod:0,1"],
     ["basis", ":r1"],
+    ["leading-term", "A1:r1", "1e10000000*b1@t^0"],
+    ["straighten", "A1:r1", "--flavor", "affine", "--level", "1e9999999",
+     "1*b3@t^1*b1@t^-1"],
+    ["growth", "A1:r1", "--ideal-gen=1*b3@t^1 + -1*b3@t^0", "--max-md", "4"],
 ])
 def test_bad_input_fails_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -210,9 +215,7 @@ def test_negative_element_option(capsys, argv, option, value, code):
     assert spaced[0] == code and "expected one argument" not in spaced[2]
 
 
-# no "e": an exponent scalar such as 1e9999999 is computed in full, which
-# would make the test slow rather than show a wrong exit code
-_GRAMMAR = st.text(alphabet="0123456789bdtw@^*+-/() ")
+_GRAMMAR = st.text(alphabet="0123456789bdtwe.@^*+-/() ")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

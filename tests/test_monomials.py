@@ -37,7 +37,7 @@ def test_mono_sorted_and_standard(tb_cache):
     m = pbw.mono_sorted(spec, word)
     assert pbw.is_standard(spec, m)
     assert m == ((f, -1), D, (h, 0), (e, 3))
-    assert pbw.mono_len(m) == 4
+    assert len(m) == 4
     assert pbw.mono_deg(m) == 2
     assert pbw.mono_md(m) == 2 + 1 + 1 + 4
 

@@ -70,6 +70,9 @@ def test_parse_rejects_garbage():
         parse_scalar("1/0")
     with pytest.raises(ValueError):
         parse_scalar("1+1w", 1)
+    for text in ("1e9999999", "1.5"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 def test_mixed_int_arithmetic():

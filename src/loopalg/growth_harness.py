@@ -1,19 +1,20 @@
 """Exact growth data for Poisson ideals of (positive) current algebras.
 
 The filtration weight of a monomial is md = sum over letters of
-(t-power + 1).  Multiplying by a letter x*t^n raises md by n + 1 and
-bracketing with it raises md by n, so neither operation lowers md and
-the ideal generated by md-homogeneous elements is md-graded: its
-intersection with a filtration stage F_j is the sum of its pieces of
-md <= j, and saturating below the cutoff loses nothing.  The saturation
-splits into pieces keyed by (md, length) when every generator is also
-homogeneous in length, and by md alone otherwise; each piece is a finite
-echelon whose capacity is counted from the letter generating function.
-Generators that are not md-homogeneous are rejected.
+(t-power + 1).  Bracketing with x*t^n raises md by n, so the span V of
+md-homogeneous generators under brackets with letters has finite md
+pieces; by the Leibniz rule their Poisson ideal is the plain ideal S*V.
+Up to md j: close V under brackets; build a Groebner basis of S*V in the
+order of `key_standard` by Buchberger's algorithm, taking S-pairs in md
+order, skipping coprime ones and dropping those above md j (exact, since
+every element is md-homogeneous); then count the standard monomials by a
+depth-first walk that stops a branch at its first divisible monomial.
+Only the quotient, which grows polynomially, is enumerated.  Generators
+that are not md-homogeneous are rejected.
 """
 
 import math
-from collections import defaultdict
+from collections import Counter
 from itertools import accumulate
 
 from . import pbw_monomials as pbw
@@ -24,123 +25,153 @@ from .scalars import div
 
 def letters_up_to(spec, j):
     """All letters of the flavor with md <= j, sorted."""
+    if spec.flavor not in ("current", "poscurrent"):
+        raise ValueError("growth data needs a current-algebra flavor")
     low = 1 if spec.flavor == "poscurrent" else 0
-    out = []
-    for b in spec.basis.elements:
-        n = b.s if b.s >= low else b.s + spec.r
-        if spec.flavor not in ("current", "poscurrent"):
-            raise ValueError("growth data needs a current-algebra flavor")
-        nn = n
-        while nn + 1 <= j:
-            out.append((b.index, nn))
-            nn += spec.r
-    out.sort(key=spec.letter_key)
-    return out
-
-
-def _count_table(spec, J):
-    """c[M][L], the number of standard monomials of md M and length L for
-    M, L <= J: the coefficients of the product over letters x*t^n of
-    1/(1 - q^(n+1) z), multiplied in one letter at a time."""
-    c = [[0] * (J + 1) for _ in range(J + 1)]
-    c[0][0] = 1
-    for _, n in letters_up_to(spec, J):
-        w = n + 1
-        for M in range(w, J + 1):
-            row, src = c[M], c[M - w]
-            for L in range(1, M + 1):
-                row[L] += src[L - 1]
-    return c
+    return sorted(((b.index, n) for b in spec.basis.elements
+                   for n in range(b.s if b.s >= low else b.s + spec.r,
+                                  j, spec.r)), key=spec.letter_key)
 
 
 def md_series(spec, J):
-    """Number of standard monomials of md exactly k, for k = 0..J."""
-    return [sum(row) for row in _count_table(spec, J)]
+    """Number of standard monomials of md exactly k, for k = 0..J: the
+    coefficients of the product over letters x*t^n of 1/(1 - q^(n+1))."""
+    if J < 0:
+        raise ValueError("md cutoff must be >= 0")
+    c = [1] + [0] * J
+    for _, n in letters_up_to(spec, J):
+        for M in range(n + 1, J + 1):
+            c[M] += c[M - n - 1]
+    return c
 
 
-class _Echelon:
-    """Exact row echelon keyed by leading monomial."""
+def _add_multiple(out, q, poly, c):
+    """out += c * q * poly, for a monomial q."""
+    for t, v in poly.items():
+        pbw.add_into(out, tuple(sorted(q + t)), c * v)
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.rows = {}
 
-    def reduce(self, vec):
-        """Fully reduce vec; returns (residue, pivot) with pivot None when
-        vec is dependent."""
-        spec = self.spec
-        vec = dict(vec)
-        while vec:
-            piv = max(vec, key=lambda m: pbw.key_standard(spec, m))
-            row = self.rows.get(piv)
-            if row is None:
-                return vec, piv
-            c = vec[piv]
-            for m, v in row.items():
-                pbw.add_into(vec, m, -(v * c))
-        return vec, None
+class _Groebner:
+    """Monic polynomials (lead, poly, Counter of lead) with distinct leading
+    monomials, indexed by the first two letters of the lead; S-pairs of
+    md <= j wait in one bucket per md.  A letter is its rank in
+    letters_up_to and a monomial a sorted tuple of ranks; within one md,
+    key_standard orders monomials by length, then by these tuples."""
 
-    def insert(self, vec):
-        vec, piv = self.reduce(vec)
-        if piv is None:
-            return None
-        p = vec[piv]
-        self.rows[piv] = {m: div(v, p) for m, v in vec.items()}
-        return piv
+    def __init__(self, weight, j):
+        self.weight = weight
+        self.polys = []
+        self.index = {}
+        self.last = {}          # largest letter -> longer leads, as counts
+        self.pairs = [[] for _ in range(j + 1)]
 
-    def __len__(self):
-        return len(self.rows)
+    def insert(self, p):
+        """Reduce p until no leading monomial of the basis divides its own.
+        Unless that leaves 0, add it and queue its S-pairs, skipping
+        coprime ones; returns whether p was added."""
+        while True:
+            if not p:
+                return False
+            lead = max(p, key=lambda mo: (len(mo), mo))
+            have = Counter(lead)
+            xs = sorted(have)
+            keys = [(x,) for x in xs] + [(x, y) for i, x in enumerate(xs)
+                                         for y in xs[i + (have[x] < 2):]]
+            g = next((g for key in keys for g in self.index.get(key, ())
+                      if all(have[y] >= k for y, k in g[2].items())), None)
+            if g is None:
+                break
+            _add_multiple(p, tuple((have - g[2]).elements()), g[1], -p[lead])
+        g = (lead, {m: div(v, p[lead]) for m, v in p.items()}, have)
+        for h in self.polys:
+            if g[2].keys().isdisjoint(h[2]):
+                continue
+            lcm = g[2] | h[2]
+            md = sum(self.weight[x] * k for x, k in lcm.items())
+            if md < len(self.pairs):
+                self.pairs[md].append((tuple((lcm - g[2]).elements()), g,
+                                       tuple((lcm - h[2]).elements()), h))
+        self.polys.append(g)
+        self.index.setdefault(lead[:2], []).append(g)
+        if len(lead) > 1:
+            self.last.setdefault(lead[-1], []).append(tuple(have.items()))
+        return True
+
+    def standard_counts(self, j):
+        """Standard monomials of md 0..j, counted by md: a depth-first walk
+        adding letters in rank order, cut at the first divisible monomial."""
+        if () in self.index:
+            return [0] * (j + 1)
+        w, last = self.weight, self.last
+        alphabet = [x for x in range(len(w)) if (x,) not in self.index]
+        counts = [1] + [0] * j
+        have = [0] * len(w)
+
+        def walk(start, md):
+            for i in range(start, len(alphabet)):
+                x = alphabet[i]
+                if md + w[x] > j:
+                    break
+                have[x] += 1
+                if not any(all(have[y] >= k for y, k in lead)
+                           for lead in last.get(x, ())):
+                    counts[md + w[x]] += 1
+                    walk(i, md + w[x])
+                have[x] -= 1
+
+        walk(0, 0)
+        return counts
+
+
+def _groebner(spec, gens, j, letter_order=None):
+    """The Groebner basis of the Poisson ideal of `gens` cut at md j, and
+    the records (md, vector, steps) of the elements of V that entered it.
+    An element of V that reduces to 0 lies in the ideal of elements whose
+    brackets are taken, so its own brackets lie in the ideal as well."""
+    if any(len({pbw.mono_md(m) for m in g}) > 1 for g in gens):
+        raise ValueError("growth needs md-homogeneous ideal generators")
+    letters = letters_up_to(spec, j)
+    rank = {L: i for i, L in enumerate(letters)}
+    gb = _Groebner([n + 1 for _, n in letters], j)
+    if letter_order is not None:
+        letters = letter_order(letters)
+    closure = [[] for _ in range(j + 1)]
+    for gi, g in enumerate(gens):
+        M = pbw.mono_md(next(iter(g))) if g else j + 1
+        if M <= j:
+            closure[M].append((g, (("seed", gi),)))
+    records = []
+    for M in range(j + 1):
+        for qa, g, qb, h in gb.pairs[M]:
+            p = {}
+            _add_multiple(p, qa, g[1], 1)
+            _add_multiple(p, qb, h[1], -1)
+            gb.insert(p)
+        for vec, steps in closure[M]:    # grows while it is walked
+            if not gb.insert({tuple(sorted(rank[L] for L in m)): c
+                              for m, c in vec.items()}):
+                continue
+            records.append((M, vec, steps))
+            for k, n in letters:
+                nv = pbw.ad_lines(spec, ((k, 1),), n, vec) if M + n <= j else 0
+                if nv:
+                    closure[M + n].append(
+                        (nv, steps + (("bracket", ((k, 1),), n),)))
+    return gb, records
 
 
 def saturate(spec, gens, j, with_traces=False, letter_order=None):
-    """The ideal generated by the md-homogeneous `gens` under
-    multiply-by-letter and bracket-with-letter, cut at md <= j.
-
-    Returns a dict with the per-md dimensions and, with_traces, the basis
-    records (piece, vector, trace).  A piece is keyed by (md, length) when
-    every generator is homogeneous in both, else by (md, 0).  letter_order
-    permutes the processing order; the dimensions are order-independent."""
-    grades = [{(pbw.mono_md(m), len(m)) for m in g} for g in gens if g]
-    if any(len({M for M, _ in gr}) > 1 for gr in grades):
-        raise ValueError("growth needs md-homogeneous ideal generators")
-    lw = int(all(len(gr) == 1 for gr in grades))
-    table = _count_table(spec, j)
-    capacity = table if lw else [[sum(row)] for row in table]
-    letters = letters_up_to(spec, j)
-    if letter_order is not None:
-        letters = letter_order(letters)
-    ech = defaultdict(lambda: _Echelon(spec))
-    full = set()
-    records = []
-    queue = [(g, (("seed", gi),)) for gi, g in enumerate(gens)
-             if g and pbw.mono_md(next(iter(g))) <= j]
-    # the loop also visits the candidates it appends
-    for vec, steps in queue:
-        m = next(iter(vec))
-        M, L = pbw.mono_md(m), len(m) * lw
-        if (M, L) in full:
-            continue
-        e = ech[M, L]
-        if e.insert(vec) is None:
-            continue
-        records.append(((M, L), vec, steps))
-        if len(e) == capacity[M][L]:
-            full.add((M, L))
-        for x in letters:
-            n = x[1]
-            if M + n + 1 <= j and (M + n + 1, L + lw) not in full:
-                queue.append((pbw.s_product(spec, {(x,): 1}, vec),
-                              steps + (("multiply", x),)))
-            if M + n <= j and (M + n, L) not in full:
-                nv = pbw.ad_lines(spec, ((x[0], 1),), n, vec)
-                if nv:
-                    queue.append((nv, steps + (("bracket", ((x[0], 1),), n),)))
-    dims = [0] * (j + 1)
-    for (M, _), e in ech.items():
-        dims[M] += len(e)
-    out = {"dims_by_md": dims}
+    """The Poisson ideal of the md-homogeneous `gens` cut at md <= j: a
+    dict with its dimension in each md and, with_traces, the records (md,
+    vector, trace) of V, each replayable from its seed generator.
+    letter_order permutes the letters V is closed under; the dimensions
+    are order-independent."""
+    ambient = md_series(spec, j)
+    gb, records = _groebner(spec, gens, j, letter_order)
+    out = {"dims_by_md": [a - q for a, q in
+                          zip(ambient, gb.standard_counts(j))]}
     if with_traces:
-        out["basis"] = [(P, vec, _trace(steps)) for P, vec, steps in records]
+        out["basis"] = [(M, vec, _trace(steps)) for M, vec, steps in records]
     return out
 
 
@@ -176,38 +207,6 @@ def count_normal_words(dim_g, m, n, j):
     polynomial count for the short tail."""
     c = (j * dim_g) ** (m - 1) if j > 0 else 1
     return math.comb(dim_g * n + j, j) * c
-
-
-def check_g0_generates(basis):
-    """Each twist component is spanned by brackets of the weight-0
-    component against itself; the filtration argument for growth bounds
-    leans on this."""
-    for a in range(basis.r):
-        comp_a = basis.component(a)
-        comp_0 = basis.component(0)
-        ech = {}
-        rank = 0
-        for x in comp_0:
-            for y in comp_a:
-                vec = dict(basis.bracket(x.elem, y.elem).coeffs)
-                while vec:
-                    piv = max(vec)
-                    row = ech.get(piv)
-                    if row is None:
-                        p = vec[piv]
-                        ech[piv] = {k: div(v, p) for k, v in vec.items()}
-                        rank += 1
-                        break
-                    c = vec[piv]
-                    for k, v in row.items():
-                        nv = vec.get(k, 0) - v * c
-                        if nv:
-                            vec[k] = nv
-                        else:
-                            vec.pop(k, None)
-        if rank != len(comp_a):
-            return False
-    return True
 
 
 def classify_growth(series, window=5, drift=0.25):

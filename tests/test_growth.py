@@ -1,11 +1,13 @@
 import math
 import random
+import zlib
 from collections import Counter
 
 import pytest
 
 from loopalg import growth_harness as gh
 from loopalg import pbw_monomials as pbw
+from loopalg.cli import parse_element
 from loopalg.loop_affine import AlgebraSpec
 from loopalg.characters import euler_product
 from loopalg.scalars import div
@@ -81,6 +83,101 @@ def brute_force_ideal_dim(spec, gens, j):
     return len(pivots)
 
 
+class Echelon:
+    """Exact row echelon keyed by leading monomial."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.rows = {}
+
+    def insert(self, vec):
+        """Fully reduce vec; keep it and return its pivot unless it is
+        dependent."""
+        spec = self.spec
+        vec = dict(vec)
+        while vec:
+            piv = max(vec, key=lambda m: pbw.key_standard(spec, m))
+            row = self.rows.get(piv)
+            if row is None:
+                p = vec[piv]
+                self.rows[piv] = {m: div(v, p) for m, v in vec.items()}
+                return piv
+            c = vec[piv]
+            for m, v in row.items():
+                pbw.add_into(vec, m, -(v * c))
+        return None
+
+
+def count_table(spec, J):
+    """c[M][L], the number of standard monomials of md M and length L."""
+    c = [[0] * (J + 1) for _ in range(J + 1)]
+    c[0][0] = 1
+    for _, n in gh.letters_up_to(spec, J):
+        for M in range(n + 1, J + 1):
+            row, src = c[M], c[M - n - 1]
+            for L in range(1, M + 1):
+                row[L] += src[L - 1]
+    return c
+
+
+def echelon_saturate(spec, gens, j):
+    """Second oracle: a basis of the whole ideal up to md j, one echelon
+    per piece, closed under multiplying and bracketing with letters.  A
+    piece is keyed by (md, length) when every generator is homogeneous in
+    both, else by md alone, and stops taking candidates once full."""
+    grades = [{(pbw.mono_md(m), len(m)) for m in g} for g in gens if g]
+    lw = int(all(len(gr) == 1 for gr in grades))
+    table = count_table(spec, j)
+    capacity = table if lw else [[sum(row)] for row in table]
+    letters = gh.letters_up_to(spec, j)
+    ech, full = {}, set()
+    queue = [g for g in gens if g and pbw.mono_md(next(iter(g))) <= j]
+    for vec in queue:    # grows while it is walked
+        m = next(iter(vec))
+        M, L = pbw.mono_md(m), len(m) * lw
+        e = ech.setdefault((M, L), Echelon(spec))
+        if (M, L) in full or e.insert(vec) is None:
+            continue
+        if len(e.rows) == capacity[M][L]:
+            full.add((M, L))
+        for k, n in letters:
+            if M + n + 1 <= j and (M + n + 1, L + lw) not in full:
+                queue.append(pbw.s_product(spec, {((k, n),): 1}, vec))
+            if M + n <= j and (M + n, L) not in full:
+                nv = pbw.ad_lines(spec, ((k, 1),), n, vec)
+                if nv:
+                    queue.append(nv)
+    dims = [0] * (j + 1)
+    for (M, _), e in ech.items():
+        dims[M] += len(e.rows)
+    return dims
+
+
+def check_g0_generates(basis):
+    """Each twist component is spanned by brackets of the weight-0
+    component against itself; the filtration argument for growth bounds
+    leans on this."""
+    for a in range(basis.r):
+        comp_a = basis.component(a)
+        ech = {}
+        for x in basis.component(0):
+            for y in comp_a:
+                vec = dict(basis.bracket(x.elem, y.elem).coeffs)
+                while vec:
+                    piv = max(vec)
+                    row = ech.get(piv)
+                    if row is None:
+                        p = vec[piv]
+                        ech[piv] = {k: div(v, p) for k, v in vec.items()}
+                        break
+                    c = vec[piv]
+                    for k, v in row.items():
+                        pbw.add_into(vec, k, -(v * c))
+        if len(ech) != len(comp_a):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("label, flavor, J", [
     ("A1:r1", "current", 8), ("A1:r1", "poscurrent", 8),
     ("A2:r2", "current", 8), ("A2:r2", "poscurrent", 8),
@@ -118,8 +215,10 @@ def test_exponent0_generator_fixpoint(sl2cur):
 
 
 def test_quotient_series_is_cumulative_binomials(sl2cur):
-    qs = gh.quotient_dimension_series(sl2cur, [e_gen(sl2cur)], 8)
-    assert qs == [math.comb(j + 3, 3) for j in range(9)]
+    # S / (g t C[t]) = S(g)
+    qs = gh.quotient_dimension_series(sl2cur, [e_gen(sl2cur)], 20)
+    assert qs == [math.comb(j + 3, 3) for j in range(21)]
+    assert qs[-1] == 1771
 
 
 @pytest.mark.parametrize("gens_desc", ["et1", "et1sq", "mixed", "et2ecube"])
@@ -142,6 +241,107 @@ def test_saturation_matches_brute_force(sl2cur, gens_desc):
         fast = sum(gh.saturate(sl2cur, gens, j)["dims_by_md"])
         slow = brute_force_ideal_dim(sl2cur, gens, j)
         assert fast == slow, (gens_desc, j, fast, slow)
+
+
+# the growth inputs of the CLI byte-identity check: (label, flavor,
+# generators, md cutoff), the cutoff capped at 8 here
+ORACLE_CASES = [
+    ("A1:r1", "current", ["1*b3@t^0"], 8),
+    ("A1:r1", "current", ["1*b3@t^1"], 8),
+    ("A1:r1", "current", ["1*b3@t^2"], 8),
+    ("A1:r1", "current", ["1*b3@t^3"], 8),
+    ("A1:r1", "current", ["1*b3@t^1*b3@t^1"], 8),
+    ("A1:r1", "current", ["1*b3@t^1 + 1*b1@t^0*b1@t^0"], 8),
+    ("A1:r1", "current", ["1*b3@t^1 + 1*b1@t^0*b1@t^0 + 2*b2@t^1"], 8),
+    ("A1:r1", "current", ["1*b2@t^0*b2@t^0 + 1*b1@t^1"], 8),
+    ("A1:r1", "current", ["1"], 8),
+    ("A1:r1", "current", ["0"], 8),
+    ("A1:r1", "current", ["1*b3@t^2", "1*b1@t^1*b1@t^1"], 7),
+    ("A1:r1", "current", [], 6),
+    ("A1:r1", "current", ["1*b3@t^1"], 0),
+    ("A1:r1", "poscurrent", ["1*b3@t^1"], 8),
+    ("A2:r2", "current", ["1*b8@t^1"], 6),
+    ("A2:r2", "poscurrent", ["1*b8@t^1"], 6),
+    ("D4:r3", "current", ["1*b28@t^2"], 4),
+    ("D4:r3", "poscurrent", ["1*b28@t^2"], 5),
+]
+# ideals whose dims come out wrong if the S-pairs are left out
+S_PAIR_CASES = [
+    ("A1:r1", "current", ["1*b3@t^0*b3@t^1"], 7),
+    ("A1:r1", "current", ["1*b3@t^1*b1@t^0 + 1*b2@t^0*b2@t^1"], 7),
+]
+
+
+@pytest.mark.parametrize("label, flavor, texts, J",
+                         ORACLE_CASES + S_PAIR_CASES)
+def test_groebner_matches_echelon_oracle(spec_cache, label, flavor, texts, J):
+    spec = spec_cache(label, flavor)
+    gens = [parse_element(spec, t) for t in texts]
+    assert gh.saturate(spec, gens, J)["dims_by_md"] == \
+        echelon_saturate(spec, gens, J)
+
+
+def test_groebner_leads_follow_key_standard(spec_cache):
+    # the basis works on letter ranks; its leading monomials must be the
+    # key_standard leading monomials of the same polynomials
+    for label, text, J in [("A1:r1", "1*b3@t^1*b3@t^1", 8),
+                           ("A1:r1", "1*b3@t^1 + 1*b1@t^0*b1@t^0", 6),
+                           ("D4:r3", "1*b28@t^2", 4)]:
+        spec = spec_cache(label, "current")
+        letters = gh.letters_up_to(spec, J)
+        gb, _ = gh._groebner(spec, [parse_element(spec, text)], J)
+        assert gb.polys
+        for lead, poly, _ in gb.polys:
+            elem = {tuple(letters[x] for x in m): c for m, c in poly.items()}
+            assert pbw.leading(spec, elem)[0] == tuple(letters[x] for x in lead)
+
+
+def cumulative(coeffs):
+    return [sum(coeffs[:j + 1]) for j in range(len(coeffs))]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_etN_quotient_is_truncated_current_algebra(sl2cur, N):
+    # the ideal holds g t^N C[t], so the quotient is S(g (x) C[t]/t^N),
+    # with Hilbert series prod_{k <= N} (1 - q^k)^(-3)
+    J = 14
+    want = cumulative(euler_product({k: 3 for k in range(1, N + 1)}, J).coeffs)
+    assert gh.quotient_dimension_series(sl2cur, [e_gen(sl2cur, N)], J) == want
+
+
+def test_negative_cutoff_rejected(sl2cur):
+    for call in (lambda: gh.quotient_dimension_series(sl2cur, [], -1),
+                 lambda: gh.md_series(sl2cur, -1),
+                 lambda: gh.saturate(sl2cur, [e_gen(sl2cur)], -1)):
+        with pytest.raises(ValueError, match="md cutoff must be >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("label", ["A1:r1", "A2:r2", "D4:r3"])
+def test_key_standard_is_a_monomial_order(spec_cache, label):
+    # the Groebner basis needs: a < b implies a*c < b*c
+    spec = spec_cache(label, "current")
+    letters = gh.letters_up_to(spec, 5)
+    rng = random.Random(zlib.crc32(label.encode()))
+
+    def mono():
+        return pbw.mono_sorted(
+            spec, [rng.choice(letters) for _ in range(rng.randrange(5))])
+
+    def key(m):
+        return pbw.key_standard(spec, m)
+
+    checked = 0
+    for _ in range(1500):
+        a, b, c = mono(), mono(), mono()
+        if key(a) == key(b):
+            continue
+        if key(b) < key(a):
+            a, b = b, a
+        assert key(pbw.mono_sorted(spec, a + c)) < \
+            key(pbw.mono_sorted(spec, b + c)), (a, b, c)
+        checked += 1
+    assert checked > 1000
 
 
 def test_md_inhomogeneous_generator_rejected(sl2cur):
@@ -208,4 +408,4 @@ def test_classifier():
 
 def test_g0_generates(tb_cache):
     for label in ["A1:r1", "A2:r2", "D4:r3", "E6:r2"]:
-        assert gh.check_g0_generates(tb_cache(label))
+        assert check_g0_generates(tb_cache(label))

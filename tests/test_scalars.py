@@ -111,15 +111,20 @@ def test_coefficients_stay_exact(label, tb_cache):
 
 def test_growth_coefficients_stay_exact(spec_cache):
     from loopalg import growth_harness as gh
-    spec = spec_cache("A1:r1", "current")
-    gen = {((spec.basis.theta_plus.index, 1),): 2}
-    sat = gh.saturate(spec, [gen], 5, with_traces=True)
-    ech = gh._Echelon(spec)
-    for _, vec, _ in sat["basis"]:
-        ech.insert(vec)
-        for c in vec.values():
-            _exact(c)
-    assert len(ech) == len(sat["basis"])
-    for row in ech.rows.values():
-        for c in row.values():
+    from loopalg.cli import parse_element
+    for label, text, J, kind in [
+            ("A1:r1", "2*b3@t^1 + 3*b1@t^0*b1@t^0", 5, Fraction),
+            ("D4:r3", "1*b28@t^2*b28@t^2", 6, Omega)]:
+        spec = spec_cache(label, "current")
+        gen = parse_element(spec, text)
+        sat = gh.saturate(spec, [gen], J, with_traces=True)
+        for _, vec, _ in sat["basis"]:
+            for c in vec.values():
+                _exact(c)
+        # the Groebner basis divides by leading coefficients
+        gb, records = gh._groebner(spec, [gen], J)
+        assert len(records) == len(sat["basis"])
+        coeffs = [c for _, poly, _ in gb.polys for c in poly.values()]
+        assert any(type(c) is kind for c in coeffs)
+        for c in coeffs:
             _exact(c)

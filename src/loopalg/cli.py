@@ -129,16 +129,10 @@ def format_chevalley(rs, elem):
 
 
 def trace_payload(spec, trace):
-    steps = []
-    for step in trace.steps:
-        if step[0] == "multiply":
-            steps.append({"op": "multiply",
-                          "letter": spec.format_letter(step[1])})
-        else:
-            steps.append({"op": "bracket",
-                          "element": pbw.format_element(
-                              spec, trace.acting_element(spec, step))})
-    return steps
+    return [{"op": "bracket",
+             "element": pbw.format_element(
+                 spec, trace.acting_element(spec, step))}
+            for step in trace.steps]
 
 
 def _emit(args, command, payload, text_lines, csv_rows=None):
@@ -244,7 +238,7 @@ def cmd_reduce(args):
             % exc.threshold)
     if not args.uniform_n:
         n = plan["threshold"]
-    ell = re_engine.min_exponent(F)
+    ell = re_engine.min_exponent(spec, spec.encode(F))
     payload = {"h_m": pbw.format_element(spec, H),
                "trace": trace_payload(spec, trace), "n": n, "ell": ell}
     print(json.dumps({"command": "reduce", "payload": payload,

@@ -124,20 +124,21 @@ class _Groebner:
 
 
 def _groebner(spec, gens, j, letter_order=None):
-    """The Groebner basis of the Poisson ideal of `gens` cut at md j, and
-    the records (md, vector, steps) of the elements of V that entered it.
+    """The Groebner basis of the Poisson ideal of `gens` cut at md j, and the
+    records (md, vector on codes, steps) of the elements of V that entered it.
     An element of V that reduces to 0 lies in the ideal of elements whose
     brackets are taken, so its own brackets lie in the ideal as well."""
-    if any(len({pbw.mono_md(m) for m in g}) > 1 for g in gens):
-        raise ValueError("growth needs md-homogeneous ideal generators")
     letters = letters_up_to(spec, j)
-    rank = {L: i for i, L in enumerate(letters)}
+    gens = [spec.encode(g) for g in gens]
+    if any(len({pbw.mono_md(spec, m) for m in g}) > 1 for g in gens):
+        raise ValueError("growth needs md-homogeneous ideal generators")
+    rank = {spec.letter_key(L): i for i, L in enumerate(letters)}
     gb = _Groebner([n + 1 for _, n in letters], j)
     if letter_order is not None:
         letters = letter_order(letters)
     closure = [[] for _ in range(j + 1)]
     for gi, g in enumerate(gens):
-        M = pbw.mono_md(next(iter(g))) if g else j + 1
+        M = pbw.mono_md(spec, next(iter(g))) if g else j + 1
         if M <= j:
             closure[M].append((g, (("seed", gi),)))
     records = []
@@ -148,7 +149,7 @@ def _groebner(spec, gens, j, letter_order=None):
             _add_multiple(p, qb, h[1], -1)
             gb.insert(p)
         for vec, steps in closure[M]:    # grows while it is walked
-            if not gb.insert({tuple(sorted(rank[L] for L in m)): c
+            if not gb.insert({tuple(map(rank.__getitem__, m)): c
                               for m, c in vec.items()}):
                 continue
             records.append((M, vec, steps))
@@ -171,21 +172,17 @@ def saturate(spec, gens, j, with_traces=False, letter_order=None):
     out = {"dims_by_md": [a - q for a, q in
                           zip(ambient, gb.standard_counts(j))]}
     if with_traces:
-        out["basis"] = [(M, vec, _trace(steps)) for M, vec, steps in records]
+        out["basis"] = [(M, spec.decode(vec), ReductionTrace(steps))
+                        for M, vec, steps in records]
     return out
-
-
-def _trace(steps):
-    tr = ReductionTrace()
-    tr.steps = list(steps)
-    return tr
 
 
 def replay_growth_trace(spec, gens, trace):
     """Re-run a saturation trace from its seed generator."""
     if not trace.steps or trace.steps[0][0] != "seed":
         raise InvariantError("a growth trace starts with its seed generator")
-    return _trace(trace.steps[1:]).replay(spec, gens[trace.steps[0][1]])
+    seed = gens[trace.steps[0][1]]
+    return ReductionTrace(trace.steps[1:]).replay(spec, seed)
 
 
 def quotient_dimension_series(spec, gens, J):

@@ -5,6 +5,10 @@ at t-power n, where n must be congruent to the sigma-weight of the vector
 mod r.  The degree letter is the special tuple D.  Letter brackets carry
 the central cocycle when the flavor asks for it, with the central element
 specialized to the level.
+
+A letter's code, its letter_key, is one int: with B basis vectors, (k, n)
+is 2nB + k and D is -B.  The Poisson side (ad_lines, the monomial orders,
+the reduction engine and growth) works on codes.
 """
 
 from .errors import InvariantError
@@ -28,6 +32,7 @@ class AlgebraSpec:
         self.flavor = flavor
         self.r = basis.r
         self.level = rational(level)
+        self.B = len(basis.elements)
 
     @property
     def allow_d(self):
@@ -43,38 +48,51 @@ class AlgebraSpec:
         return rational(x)
 
     def letter(self, k, n):
+        if not 0 <= k < self.B:
+            raise ValueError("basis index %d out of range 0..%d"
+                             % (k, self.B - 1))
         b = self.basis.elements[k]
         if n % self.r != b.s:
             raise ValueError("t-power %d not congruent to weight %d mod %d"
                              % (n, b.s, self.r))
-        self.check_exponent(n)
-        return (k, n)
-
-    def check_exponent(self, n):
         if self.flavor == "current" and n < 0:
             raise ValueError("current-algebra letters need t-power >= 0")
         if self.flavor == "poscurrent" and n < 1:
             raise ValueError("positive-current letters need t-power >= 1")
+        return (k, n)
 
     def letter_ok(self, L):
         if L == D:
             return self.allow_d
-        k, n = L
-        b = self.basis.elements[k]
-        if n % self.r != b.s:
+        try:
+            return self.letter(*L) == L
+        except ValueError:
             return False
-        if self.flavor == "current":
-            return n >= 0
-        if self.flavor == "poscurrent":
-            return n >= 1
-        return True
 
     def letter_key(self, L):
-        """Sort key: t-power first, the degree letter between -1 and 0."""
-        if L == D:
-            return (-1, 0)
-        k, n = L
-        return (2 * n, k)
+        """The letter's code: one int, t-power first, with the degree letter
+        between t^-1 and t^0."""
+        return -self.B if L == D else 2 * L[1] * self.B + L[0]
+
+    def letter_of(self, c):
+        """The letter whose code is c."""
+        n, k = divmod(c + self.B, 2 * self.B)
+        return D if c == -self.B else (k - self.B, n)
+
+    def encode(self, elem):
+        """An element on (k, n) letters as the same element on codes; a
+        letter outside the flavor raises ValueError."""
+        table = {L: self.letter_key(L) for L in set().union(*elem)}
+        for L in table:
+            if not self.letter_ok(L):
+                raise ValueError("%r is not a letter of the %s flavor"
+                                 % (L, self.flavor))
+        return {tuple(map(table.__getitem__, m)): c for m, c in elem.items()}
+
+    def decode(self, elem):
+        """The inverse of encode."""
+        table = {x: self.letter_of(x) for x in set().union(*elem)}
+        return {tuple(map(table.__getitem__, m)): c for m, c in elem.items()}
 
     def format_letter(self, L):
         if L == D:

@@ -1,11 +1,14 @@
 """Standard monomials, straightening, and the two monomial orders.
 
-Elements are plain dicts mapping monomials (tuples of letters, sorted by
-the letter order) to scalars.  The same representation serves the
-symmetric algebra and the enveloping algebra; only the product differs.
+Elements are dicts mapping monomials (sorted tuples of letters) to scalars,
+in the symmetric and the enveloping algebra alike.  Straightening, products,
+parsing, formatting and leading take (k, n) letters; ad_lines, the sizes,
+the orders and leading_code take letter codes (see loop_affine).
 """
 
-from .loop_affine import D, letter_bracket
+from bisect import bisect
+
+from .loop_affine import letter_bracket
 from .scalars import format_scalar
 
 
@@ -35,38 +38,50 @@ def mono_sorted(spec, letters):
     return tuple(sorted(letters, key=spec.letter_key))
 
 
-def is_standard(spec, word):
-    keys = [spec.letter_key(L) for L in word]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
-
-
 # ------------------------------------------------------------------- sizes
 
-def mono_deg(m):
-    return sum(L[1] for L in m if L != D)
+def mono_deg(spec, m):
+    """Total t-power of a monomial on codes; D counts 0."""
+    return sum((x + spec.B) // (2 * spec.B) for x in m)
 
 
-def mono_md(m):
-    return sum(1 if L == D else abs(L[1]) + 1 for L in m)
+def mono_md(spec, m):
+    """Sum over letters of |t-power| + 1, on codes; D counts 1."""
+    return sum(abs((x + spec.B) // (2 * spec.B)) + 1 for x in m)
 
 
 def key_standard(spec, m):
     """Key for the order <: length, degree, then letters left to right."""
-    return (len(m), mono_deg(m), tuple(spec.letter_key(L) for L in m))
+    return (len(m), mono_deg(spec, m), m)
 
 
 def key_reverse(spec, m):
     """Key for the order used while reducing: length, degree, then letters
     right to left."""
-    return (len(m), mono_deg(m), tuple(spec.letter_key(L) for L in reversed(m)))
+    return (len(m), mono_deg(spec, m), m[::-1])
 
 
 def leading(spec, elem, reverse=False):
-    """(monomial, coefficient) maximal under < (or under the right-to-left
-    order when reverse is set)."""
-    keyf = key_reverse if reverse else key_standard
-    m = max(elem, key=lambda mo: keyf(spec, mo))
-    return m, elem[m]
+    """(monomial, coefficient) of an element on (k, n) letters, maximal
+    under < (or under the right-to-left order when reverse is set)."""
+    m, c = leading_code(spec, spec.encode(elem), reverse)
+    return tuple(map(spec.letter_of, m)), c
+
+
+def leading_code(spec, elem, reverse=False):
+    """leading for an element on codes."""
+    if not elem:
+        raise ValueError("the zero element has no leading term")
+    B, B2 = spec.B, 2 * spec.B
+    best = top = None
+    for m in elem:      # the keys above, inlined: no call per monomial
+        deg = 0
+        for x in m:
+            deg += (x + B) // B2
+        key = (len(m), deg, m[::-1] if reverse else m)
+        if top is None or key > top:
+            best, top = m, key
+    return best, elem[best]
 
 
 # -------------------------------------------------------------- products
@@ -114,68 +129,58 @@ def s_product(spec, a, b):
     return out
 
 
-def _insert(spec, mono, L):
-    key = spec.letter_key(L)
-    for i, x in enumerate(mono):
-        if spec.letter_key(x) > key:
-            return mono[:i] + (L,) + mono[i:]
-    return mono + (L,)
-
-
 def ad_lines(spec, lines, e, elem):
-    """Poisson bracket of sum(c_k * b_k t^e) against elem; the workhorse of
-    the reduction engine, specialised for a single-t-power acting element.
+    """Poisson bracket of sum(c_k * b_k t^e) against elem, on codes; the
+    workhorse of the reduction engine, for a single-t-power acting element.
 
     The acting lines are aggregated once per target basis index so the
     inner loop touches each output term exactly once."""
     basis = spec.basis
     line_bracket = basis.line_bracket
     coc = spec.has_cocycle
-    letter_key = spec.letter_key
+    B, B2 = spec.B, 2 * spec.B
+    shift = B2 * e
     comb = {}
 
     def images(k0):
-        got = comb.get(k0)
-        if got is None:
-            acc = {}
-            const = None
-            for k, ck in lines:
-                for k2, c2 in line_bracket(k, k0):
-                    prev = acc.get(k2)
-                    c = ck * c2
-                    acc[k2] = c if prev is None else prev + c
-                if coc:
-                    kap = basis.line_killing(k, k0)
-                    if kap:
-                        c = ck * kap * spec.level * e
-                        const = c if const is None else const + c
-            got = comb[k0] = ([(k2, c) for k2, c in acc.items() if c],
-                              const or None)
+        acc = {}
+        const = None
+        for k, ck in lines:
+            for k2, c2 in line_bracket(k, k0):
+                prev = acc.get(k2)
+                c = ck * c2
+                acc[k2] = c if prev is None else prev + c
+            if coc:
+                kap = basis.line_killing(k, k0)
+                if kap:
+                    c = ck * kap * spec.level * e
+                    const = c if const is None else const + c
+        got = comb[k0] = ([(k2, c) for k2, c in acc.items() if c],
+                          const or None)
         return got
 
+    # [D, x t^e] = -e x t^e, with no constant term
+    d_terms = [(k, -e * ck) for k, ck in lines if e], None
     out = {}
+    get = out.get
     for mono, c0 in elem.items():
-        for i, L in enumerate(mono):
+        for i, x in enumerate(mono):
             rest = mono[:i] + mono[i + 1:]
-            if L == D:
-                if e:
-                    for k, ck in lines:
-                        add_into(out, _insert(spec, rest, (k, e)),
-                                 c0 * ck * (-e))
-                continue
-            n = L[1] + e
-            terms, const = images(L[0])
+            k0 = (x + B) % B2 - B       # -B for D
+            base = x - k0 + shift       # the code of (0, n + e)
+            terms, const = (d_terms if x == -B
+                            else comb.get(k0) or images(k0))
             for k2, c in terms:
-                L2 = (k2, n)
-                key = letter_key(L2)
-                for jj, x in enumerate(rest):
-                    if letter_key(x) > key:
-                        m2 = rest[:jj] + (L2,) + rest[jj:]
-                        break
+                L2 = base + k2
+                j = bisect(rest, L2)
+                m2 = rest[:j] + (L2,) + rest[j:]
+                v = get(m2)     # add_into, inlined for the hottest loop
+                v = c0 * c if v is None else v + c0 * c
+                if v:
+                    out[m2] = v
                 else:
-                    m2 = rest + (L2,)
-                add_into(out, m2, c0 * c)
-            if const is not None and n == 0:
+                    out.pop(m2, None)
+            if const is not None and base == 0:
                 add_into(out, rest, c0 * const)
     return out
 
@@ -202,7 +207,8 @@ def format_element(spec, elem):
     if not elem:
         return "0"
     bits = []
-    for m in sorted(elem, key=lambda mo: key_standard(spec, mo), reverse=True):
+    for m in sorted(elem, key=lambda mo: key_standard(
+            spec, tuple(map(spec.letter_key, mo))), reverse=True):
         term = [format_scalar(elem[m])] + [spec.format_letter(L) for L in m]
         bits.append("*".join(term))
     return " + ".join(bits)

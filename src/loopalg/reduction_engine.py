@@ -7,11 +7,13 @@ standard monomial is any requested target (with t-powers beyond an
 explicitly computed threshold).  Every step is a Poisson bracket with an
 explicit positive-t-power element, recorded in a trace that can be
 replayed -- in particular inside the enveloping algebra at any level.
+
+The public entry points take and return elements on (k, n) letters; the
+stages in between work on letter codes (see loop_affine).
 """
 
 from . import pbw_monomials as pbw
 from .errors import InvariantError
-from .loop_affine import D
 
 
 class ThresholdError(ValueError):
@@ -27,14 +29,11 @@ class ReductionTrace:
     original generator.  Each step is a weight-homogeneous acting element
     written as [(basis index, coeff), ...] at a common t-power."""
 
-    def __init__(self):
-        self.steps = []
+    def __init__(self, steps=()):
+        self.steps = list(steps)
 
     def bracket(self, lines, exponent):
         self.steps.append(("bracket", tuple(lines), exponent))
-
-    def extend(self, other):
-        self.steps.extend(other.steps)
 
     def acting_element(self, spec, step):
         _, lines, e = step
@@ -44,48 +43,38 @@ class ReductionTrace:
         """Apply the recorded steps to `start`; with commutator=True the
         steps run in the enveloping algebra of `spec` instead of the
         symmetric one."""
-        x = start
-        for step in self.steps:
-            if step[0] == "multiply":
-                letter = {(step[1],): 1}
-                x = (pbw.u_product if commutator else pbw.s_product)(
-                    spec, letter, x)
-            elif commutator:
-                act = self.acting_element(spec, step)
-                x = pbw.u_commutator(spec, act, x)
-            else:
-                _, lines, e = step
-                x = pbw.ad_lines(spec, lines, e, x)
-        return x
+        if commutator:
+            x = start
+            for step in self.steps:
+                x = pbw.u_commutator(spec, self.acting_element(spec, step), x)
+            return x
+        x = spec.encode(start)
+        for _, lines, e in self.steps:
+            x = pbw.ad_lines(spec, lines, e, x)
+        return spec.decode(x)
 
 
-def min_exponent(elem):
-    return min(L[1] for m in elem for L in m if L != D)
-
-
-def _span_bound(elem):
-    worst = 0
-    for m in elem:
-        worst = max(worst, sum(abs(L[1]) for L in m if L != D))
-    return worst
+def min_exponent(spec, elem):
+    """The least t-power of a letter other than D, on codes."""
+    B = spec.B
+    return min((x + B) // (2 * B) for m in elem for x in m if x != -B)
 
 
 def separating_exponent(spec, s, elem):
     """A positive t-power congruent to s that is large enough to keep the
     images of distinct letters distinct."""
-    bound = 2 * _span_bound(elem) + 1
-    q = s % spec.r
-    if q < 1:
-        q = spec.r
+    bound = 1 + 2 * max((pbw.mono_md(spec, m) - len(m) for m in elem),
+                        default=0)
+    q = s % spec.r or spec.r
     while q <= bound:
         q += spec.r
     return q
 
 
 def kill_positive_action(spec, F, sign="+", trace=None):
-    """Bracket with one side of the root lines until that side acts by
-    zero; the result is supported on the corresponding highest-root
-    letters alone."""
+    """Bracket F, on codes, with one side of the root lines until that side
+    acts by zero; the result is supported on the corresponding
+    highest-root letters alone."""
     basis = spec.basis
     acting = basis.root_vectors(positive=(sign == "+"))
     if trace is None:
@@ -110,16 +99,16 @@ def kill_positive_action(spec, F, sign="+", trace=None):
         if rounds > limit:
             raise InvariantError("highest-root reduction did not settle")
     want = (basis.theta_plus if sign == "+" else basis.theta_minus).index
-    if any(L[0] != want for mo in F for L in mo):
+    if any(spec.letter_of(x)[0] != want for mo in F for x in mo):
         raise InvariantError("support escaped the extreme line")
     return F, trace
 
 
 def realize_congruence_class(spec, H, cls, trace=None):
-    """From H supported on lowest-root letters, build G whose leading
-    monomial under the right-to-left order runs through the lines cls[0],
-    ..., cls[m-1] at strictly increasing t-powers, by an induction over
-    positions.  Returns (G, exponents, trace)."""
+    """From H on codes, supported on lowest-root letters, build G whose
+    leading monomial under the right-to-left order runs through the lines
+    cls[0], ..., cls[m-1] at strictly increasing t-powers, by an induction
+    over positions.  Returns (G, exponents, trace)."""
     basis = spec.basis
     r = basis.r
     d = basis.theta_height
@@ -138,7 +127,7 @@ def realize_congruence_class(spec, H, cls, trace=None):
                     "bracket unexpectedly vanished during the induction")
         return x
 
-    lead, _ = pbw.leading(spec, H, reverse=True)
+    lead = [spec.letter_of(x) for x in pbw.leading_code(spec, H, True)[0]]
     if any(L[0] != tm.index for L in lead):
         raise InvariantError("leading monomial is off the lowest-root line")
     j = [L[1] for L in lead]
@@ -151,7 +140,7 @@ def realize_congruence_class(spec, H, cls, trace=None):
     cur = [tp] * m
 
     def check(G):
-        lead, c = pbw.leading(spec, G, reverse=True)
+        lead = tuple(map(spec.letter_of, pbw.leading_code(spec, G, True)[0]))
         want = tuple((cur[i].index, k[i]) for i in range(m))
         if lead != want:
             raise InvariantError(
@@ -194,7 +183,8 @@ def realize_congruence_class(spec, H, cls, trace=None):
 
 def lift_leading_term(spec, G, a, cls, M, partners, trace=None):
     """Bracket G with the partner lines at matched t-powers so that the
-    leading standard monomial becomes exactly M."""
+    leading standard monomial becomes exactly M; G and the result are on
+    codes."""
     basis = spec.basis
     m = len(a)
     if trace is None:
@@ -212,7 +202,7 @@ def lift_leading_term(spec, G, a, cls, M, partners, trace=None):
         trace.bracket(lines, e)
         if not H:
             raise InvariantError("partner bracket vanished")
-    lead, c = pbw.leading(spec, H)
+    lead = tuple(map(spec.letter_of, pbw.leading_code(spec, H)[0]))
     if lead != M:
         raise InvariantError("leading term is %r, wanted %r" % (lead, M))
     return H, trace
@@ -235,9 +225,9 @@ def reduction_plan(spec, F, M_letters):
     partners = [spec.basis.sl2_partner(M_letters[m - 1 - jj]) for jj in range(m)]
     cls = [p[0] for p in partners]
     trace = ReductionTrace()
-    H, trace = kill_positive_action(spec, F, "-", trace)
+    H, trace = kill_positive_action(spec, spec.encode(F), "-", trace)
     G, a, trace = realize_congruence_class(spec, H, cls, trace)
-    threshold = max(0, 2 * a[-1] - min_exponent(G))
+    threshold = max(0, 2 * a[-1] - min_exponent(spec, G))
     return {"G": G, "a": a, "cls": cls, "partners": partners,
             "trace": trace, "threshold": threshold}
 
@@ -251,11 +241,10 @@ def construct_H_M(spec, F, M, plan=None):
         plan = reduction_plan(spec, F, letters)
     if M[0][1] <= plan["threshold"]:
         raise ThresholdError(plan["threshold"], plan["cls"])
-    trace = ReductionTrace()
-    trace.extend(plan["trace"])
+    trace = ReductionTrace(plan["trace"].steps)
     H, trace = lift_leading_term(spec, plan["G"], plan["a"], plan["cls"], M,
                                  plan["partners"], trace)
-    return H, trace
+    return spec.decode(H), trace
 
 
 def uniform_threshold(spec, F, m):
@@ -265,17 +254,12 @@ def uniform_threshold(spec, F, m):
         raise ValueError("the uniform threshold is only computed for m <= 2")
     roots = spec.basis.root_vectors()
     from itertools import product
-    worst = 0
-    seen = {}
+    seen = {}   # the threshold depends on the lines only through cls
     for tup in product(roots, repeat=m):
         key = tuple(spec.basis.sl2_partner(b)[0].index for b in reversed(tup))
-        if key in seen:
-            worst = max(worst, seen[key])
-            continue
-        plan = reduction_plan(spec, F, tup)
-        seen[key] = plan["threshold"]
-        worst = max(worst, plan["threshold"])
-    return worst
+        if key not in seen:
+            seen[key] = reduction_plan(spec, F, tup)["threshold"]
+    return max(seen.values(), default=0)
 
 
 def project_to_derived(spec, F, trace=None):
@@ -288,7 +272,8 @@ def project_to_derived(spec, F, trace=None):
         raise ValueError("cannot project the zero element")
     if trace is None:
         trace = ReductionTrace()
-    d_deg = max((sum(1 for L in mo if L == D) for mo in F), default=0)
+    F = spec.encode(F)
+    d_deg = max((mo.count(-spec.B) for mo in F), default=0)
     letters = max((len(mo) for mo in F), default=0)
     limit = d_deg + letters * basis.theta_height + 4
     steps = 0
@@ -304,9 +289,9 @@ def project_to_derived(spec, F, trace=None):
         steps += 1
         if steps > limit:
             raise InvariantError("derived projection did not settle")
-    if any(L == D for mo in F for L in mo):
+    if any(-spec.B in mo for mo in F):
         raise InvariantError("degree letter survived")
-    return F, trace
+    return spec.decode(F), trace
 
 
 def lift_to_U(spec_u, H, trace):

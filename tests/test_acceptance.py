@@ -275,11 +275,11 @@ def test_criterion_4_reduction_engine():
             seen_plans = set()
             for F, M, plan in _random_engine_cases(spec, rng, m, 5, 20):
                 # 5 generators, 20 targets per (algebra, length) cell
-                ell = eng.min_exponent(F)
+                ell = eng.min_exponent(spec, spec.encode(F))
                 H, trace = eng.construct_H_M(spec, F, M, plan=plan)
                 lead, _ = pbw.leading(spec, H)
                 assert lead == M, (label, m, M)
-                assert eng.min_exponent(H) >= ell
+                assert eng.min_exponent(spec, spec.encode(H)) >= ell
                 for step in trace.steps:
                     assert step[0] == "bracket" and step[2] >= 1
                 # full replay from the generator is verified once per

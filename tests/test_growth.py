@@ -8,9 +8,11 @@ import pytest
 from loopalg import growth_harness as gh
 from loopalg import pbw_monomials as pbw
 from loopalg.cli import parse_element
-from loopalg.loop_affine import AlgebraSpec
+from loopalg.loop_affine import D, AlgebraSpec
 from loopalg.characters import euler_product
 from loopalg.scalars import div
+
+import tuple_oracles as tup
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,7 @@ def brute_force_ideal_dim(spec, gens, j):
     def to_vec(elem):
         v = [0] * len(monos)
         for m, c in elem.items():
-            if pbw.mono_md(m) <= j:
+            if tup.mono_md(m) <= j:
                 v[index[m]] = c
         return v
 
@@ -72,7 +74,7 @@ def brute_force_ideal_dim(spec, gens, j):
     queue = [dict(g) for g in gens if g]
     qi = 0
     while qi < len(queue):
-        elem = {m: c for m, c in queue[qi].items() if pbw.mono_md(m) <= j}
+        elem = {m: c for m, c in queue[qi].items() if tup.mono_md(m) <= j}
         qi += 1
         if not elem or not insert(to_vec(elem)):
             continue
@@ -96,7 +98,7 @@ class Echelon:
         spec = self.spec
         vec = dict(vec)
         while vec:
-            piv = max(vec, key=lambda m: pbw.key_standard(spec, m))
+            piv = max(vec, key=lambda m: tup.key_standard(spec, m))
             row = self.rows.get(piv)
             if row is None:
                 p = vec[piv]
@@ -125,16 +127,16 @@ def echelon_saturate(spec, gens, j):
     per piece, closed under multiplying and bracketing with letters.  A
     piece is keyed by (md, length) when every generator is homogeneous in
     both, else by md alone, and stops taking candidates once full."""
-    grades = [{(pbw.mono_md(m), len(m)) for m in g} for g in gens if g]
+    grades = [{(tup.mono_md(m), len(m)) for m in g} for g in gens if g]
     lw = int(all(len(gr) == 1 for gr in grades))
     table = count_table(spec, j)
     capacity = table if lw else [[sum(row)] for row in table]
     letters = gh.letters_up_to(spec, j)
     ech, full = {}, set()
-    queue = [g for g in gens if g and pbw.mono_md(next(iter(g))) <= j]
+    queue = [g for g in gens if g and tup.mono_md(next(iter(g))) <= j]
     for vec in queue:    # grows while it is walked
         m = next(iter(vec))
-        M, L = pbw.mono_md(m), len(m) * lw
+        M, L = tup.mono_md(m), len(m) * lw
         e = ech.setdefault((M, L), Echelon(spec))
         if (M, L) in full or e.insert(vec) is None:
             continue
@@ -144,7 +146,7 @@ def echelon_saturate(spec, gens, j):
             if M + n + 1 <= j and (M + n + 1, L + lw) not in full:
                 queue.append(pbw.s_product(spec, {((k, n),): 1}, vec))
             if M + n <= j and (M + n, L) not in full:
-                nv = pbw.ad_lines(spec, ((k, 1),), n, vec)
+                nv = tup.ad_lines(spec, ((k, 1),), n, vec)
                 if nv:
                     queue.append(nv)
     dims = [0] * (j + 1)
@@ -184,7 +186,7 @@ def check_g0_generates(basis):
     ("D4:r3", "current", 4), ("D4:r3", "poscurrent", 8)])
 def test_md_counts_match_enumeration(tb_cache, label, flavor, J):
     spec = AlgebraSpec(tb_cache(label), flavor=flavor)
-    counts = Counter(pbw.mono_md(m) for m in enumerate_monomials(spec, J))
+    counts = Counter(tup.mono_md(m) for m in enumerate_monomials(spec, J))
     assert gh.md_series(spec, J) == [counts[k] for k in range(J + 1)]
 
 
@@ -329,7 +331,7 @@ def test_key_standard_is_a_monomial_order(spec_cache, label):
             spec, [rng.choice(letters) for _ in range(rng.randrange(5))])
 
     def key(m):
-        return pbw.key_standard(spec, m)
+        return pbw.key_standard(spec, tuple(map(spec.letter_key, m)))
 
     checked = 0
     for _ in range(1500):
@@ -348,6 +350,17 @@ def test_md_inhomogeneous_generator_rejected(sl2cur):
     e = sl2cur.basis.theta_plus.index
     with pytest.raises(ValueError, match="md-homogeneous"):
         gh.saturate(sl2cur, [{((e, 1),): 1, ((e, 0),): -1}], 4)
+
+
+@pytest.mark.parametrize("flavor, gen", [
+    ("poscurrent", {((2, 0),): 1}),      # no t^0 letters
+    ("current", {((2, -1),): 1}),        # no t^-1 letters
+    ("current", {((3, 1),): 1}),         # A1 has basis vectors 0..2
+    ("current", {(D,): 1}),              # no degree letter
+])
+def test_letters_outside_the_flavor_rejected(spec_cache, flavor, gen):
+    with pytest.raises(ValueError):
+        gh.saturate(spec_cache("A1:r1", flavor), [gen], 4)
 
 
 def test_twisted_positive_current_runs(tb_cache):

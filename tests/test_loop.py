@@ -1,7 +1,13 @@
+import random
+import zlib
+
 import pytest
 
+from loopalg import pbw_monomials as pbw
 from loopalg.loop_affine import (D, AlgebraSpec, letter_bracket,
                                  subalgebra_sl2hat, verify_sl2hat)
+
+import tuple_oracles as tup
 
 
 def test_letter_validation(spec_cache):
@@ -33,6 +39,31 @@ def test_letter_key_places_degree_letter_between_exponents(tb_cache):
     spec = AlgebraSpec(tb_cache("A1:r1"), flavor="affine")
     assert spec.letter_key((0, -1)) < spec.letter_key(D) \
         < spec.letter_key((0, 0))
+
+
+@pytest.mark.parametrize("label", ["A1:r1", "A2:r2", "D4:r3"])
+def test_letter_codes_roundtrip_and_keep_the_order(tb_cache, label):
+    spec = AlgebraSpec(tb_cache(label), flavor="affine")
+    rng = random.Random(zlib.crc32(label.encode()))
+
+    def letter():
+        if rng.random() < 0.15:
+            return D
+        b = rng.choice(spec.basis.elements)
+        n = rng.randrange(-7, 8)
+        return (b.index, n - (n - b.s) % spec.r)
+
+    for _ in range(2000):
+        a, b = letter(), letter()
+        assert spec.letter_of(spec.letter_key(a)) == a
+        assert (spec.letter_key(a) < spec.letter_key(b)) == \
+            (tup.letter_key(a) < tup.letter_key(b))
+        m = tuple(sorted((a, b, letter()), key=tup.letter_key))
+        codes = tuple(map(spec.letter_key, m))
+        assert codes == tuple(sorted(codes))
+        assert pbw.mono_deg(spec, codes) == tup.mono_deg(m)
+        assert pbw.mono_md(spec, codes) == tup.mono_md(m)
+        assert spec.decode(spec.encode({m: 1})) == {m: 1}
 
 
 def test_letter_bracket_matches_basis_bracket(spec_cache):

@@ -5,6 +5,8 @@ import pytest
 from loopalg import pbw_monomials as pbw
 from loopalg.loop_affine import D, AlgebraSpec, letter_bracket
 
+import tuple_oracles as tup
+
 
 def rand_letter(spec, rng, span=3, allow_d=False):
     if allow_d and spec.allow_d and rng.random() < 0.15:
@@ -35,17 +37,19 @@ def test_mono_sorted_and_standard(tb_cache):
     e, h, f = 2, 1, 0
     word = ((e, 3), D, (f, -1), (h, 0))
     m = pbw.mono_sorted(spec, word)
-    assert pbw.is_standard(spec, m)
+    assert tup.is_standard(m)
     assert m == ((f, -1), D, (h, 0), (e, 3))
     assert len(m) == 4
-    assert pbw.mono_deg(m) == 2
-    assert pbw.mono_md(m) == 2 + 1 + 1 + 4
+    codes = tuple(map(spec.letter_key, m))
+    assert codes == tuple(sorted(codes))
+    assert pbw.mono_deg(spec, codes) == 2
+    assert pbw.mono_md(spec, codes) == 2 + 1 + 1 + 4
 
 
 def test_orders_disagree_where_expected(tb_cache):
     spec = AlgebraSpec(tb_cache("A1:r1"))
-    a = ((0, -2), (2, 5))
-    b = ((0, -1), (2, 4))
+    a = tuple(map(spec.letter_key, ((0, -2), (2, 5))))
+    b = tuple(map(spec.letter_key, ((0, -1), (2, 4))))
     # same length and degree; standard order compares left-to-right,
     # reverse order right-to-left
     assert pbw.key_standard(spec, a) < pbw.key_standard(spec, b)
@@ -127,16 +131,51 @@ def test_grmd_drops_cocycle_and_mixed_signs(tb_cache):
 
 
 def test_ad_lines_matches_poisson(tb_cache):
-    spec = AlgebraSpec(tb_cache("D4:r3"))
+    # affine elements carry D letters; affine and derived carry the
+    # cocycle at level 1.  The acting element is one or two lines of one
+    # sigma-weight at a t-power in -3..3, so that brackets reach t^0.
+    for label in ("A1:r1", "A2:r2", "D4:r3"):
+        for flavor in ("loop", "affine", "derived"):
+            check_ad_lines(AlgebraSpec(tb_cache(label), flavor=flavor,
+                                       level=1))
+
+
+def check_ad_lines(spec):
     rng = random.Random(3)
     tb = spec.basis
-    for _ in range(20):
-        b = rng.choice([x for x in tb.elements if x.kind == "root"])
-        n = rng.randrange(1, 4) * spec.r + b.s
-        x = rand_elem(spec, rng)
-        acting = {((b.index, n),): spec.scalar(1)}
-        assert pbw.ad_lines(spec, ((b.index, spec.scalar(1)),), n, x) \
-            == pbw.poisson(spec, acting, x)
+    d_hits = cocycle_hits = 0
+    for _ in range(60):
+        b = rng.choice(tb.elements)
+        n = rng.randrange(-3, 4)
+        n -= (n - b.s) % spec.r
+        other = rng.choice([y for y in tb.elements if y.s == b.s])
+        lines = tuple((y.index, spec.scalar(rng.randrange(1, 4)))
+                      for y in ([b] if other is b else [b, other]))
+        x = rand_elem(spec, rng, terms=3, allow_d=True)
+        acting = {((k, n),): c for k, c in lines}
+        got = spec.decode(pbw.ad_lines(spec, lines, n, spec.encode(x)))
+        assert got == pbw.poisson(spec, acting, x)
+        assert got == tup.ad_lines(spec, lines, n, x)
+        d_hits += bool(n) and any(D in m for m in x)
+        cocycle_hits += any(L != D and L[1] + n == 0
+                            and any(tb.line_killing(k, L[0]) for k, _ in lines)
+                            for m in x for L in m)
+    # both special branches are reached where the flavor has them
+    assert d_hits > 5 if spec.flavor == "affine" else d_hits == 0
+    assert cocycle_hits >= 3
+
+
+@pytest.mark.parametrize("label", ["A1:r1", "A2:r2", "D4:r3"])
+def test_leading_matches_tuple_keys(tb_cache, label):
+    spec = AlgebraSpec(tb_cache(label), flavor="affine")
+    rng = random.Random(13)
+    for _ in range(200):
+        x = rand_elem(spec, rng, terms=rng.randrange(1, 9), allow_d=True)
+        if not x:
+            continue
+        for reverse in (False, True):
+            assert pbw.leading(spec, x, reverse) == \
+                tup.leading(spec, x, reverse)
 
 
 def test_leading_and_format_roundtrip_via_cli_parser(tb_cache):

@@ -19,6 +19,10 @@ def rand_generator(spec, rng, m, span=1):
     return {pbw.mono_sorted(spec, tuple(word)): spec.scalar(1)}
 
 
+def ell_of(spec, elem):
+    return eng.min_exponent(spec, spec.encode(elem))
+
+
 def rand_target(spec, rng, m, start, gap=None):
     """A standard monomial over root lines with strictly increasing
     exponents starting above `start`."""
@@ -38,7 +42,8 @@ def test_kill_positive_action_lands_on_theta_line(spec_cache):
     spec = spec_cache("A1:r1")
     e, h, f = 2, 1, 0
     F = {((h, 1),): spec.scalar(1)}
-    G, trace = eng.kill_positive_action(spec, F, "+")
+    G, trace = eng.kill_positive_action(spec, spec.encode(F), "+")
+    G = spec.decode(G)
     top = spec.basis.theta_plus.index
     assert G and all(all(L[0] == top for L in m) for m in G)
     assert trace.replay(spec, F) == G
@@ -47,7 +52,8 @@ def test_kill_positive_action_lands_on_theta_line(spec_cache):
 def test_kill_negative_action(spec_cache):
     spec = spec_cache("A2:r2")
     F = {((2, 0), (5, 1)): spec.scalar(1)}
-    G, trace = eng.kill_positive_action(spec, F, "-")
+    G, trace = eng.kill_positive_action(spec, spec.encode(F), "-")
+    G = spec.decode(G)
     bot = spec.basis.theta_minus.index
     assert G and all(all(L[0] == bot for L in m) for m in G)
     assert trace.replay(spec, F) == G
@@ -57,20 +63,20 @@ def test_kill_already_killed_is_identity(spec_cache):
     spec = spec_cache("A1:r1")
     e = spec.basis.theta_plus.index
     F = {((e, 1), (e, 2)): spec.scalar(1)}
-    G, trace = eng.kill_positive_action(spec, F, "+")
-    assert G == F and trace.steps == []
+    G, trace = eng.kill_positive_action(spec, spec.encode(F), "+")
+    assert spec.decode(G) == F and trace.steps == []
 
 
 def test_realize_congruence_class_m1(spec_cache):
     spec = spec_cache("A1:r1")
     e, f = 2, 0
     F = {((e, 1),): spec.scalar(1)}
-    H, tr = eng.kill_positive_action(spec, F, "-")
+    H, tr = eng.kill_positive_action(spec, spec.encode(F), "-")
     fb = spec.basis.elements[f]
     G, a, tr = eng.realize_congruence_class(spec, H, [fb], tr)
     (m,) = [max(G, key=lambda mo: pbw.key_reverse(spec, mo))]
-    assert all(L[0] == f for L in m)
-    assert tr.replay(spec, F) == G
+    assert all(spec.letter_of(x)[0] == f for x in m)
+    assert tr.replay(spec, F) == spec.decode(G)
 
 
 @pytest.mark.parametrize("label", ["A1:r1", "A2:r2", "D4:r3"])
@@ -100,7 +106,7 @@ def test_construct_reaches_target(label, m, spec_cache):
     # only positive-exponent acting letters
     for step in trace.steps:
         assert step[0] == "bracket" and step[2] >= 1
-    assert eng.min_exponent(H) >= eng.min_exponent(F)
+    assert ell_of(spec, H) >= ell_of(spec, F)
 
 
 def test_threshold_error_carries_threshold(spec_cache):

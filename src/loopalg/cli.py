@@ -131,8 +131,8 @@ def format_chevalley(rs, elem):
 def trace_payload(spec, trace):
     return [{"op": "bracket",
              "element": pbw.format_element(
-                 spec, trace.acting_element(spec, step))}
-            for step in trace.steps]
+                 spec, {((k, e),): c for k, c in lines})}
+            for _, lines, e in trace.steps]
 
 
 def _emit(args, command, payload, text_lines, csv_rows=None):
@@ -201,7 +201,8 @@ def cmd_straighten(args):
     spec = _spec(args)
     out = {}
     for c, word in parse_terms(spec, args.element):
-        out = pbw.elem_add(out, pbw.straighten(spec, word, c))
+        for m, v in pbw.straighten(spec, word, c).items():
+            pbw.add_into(out, m, v)
     _emit(args, "straighten", {"element": pbw.format_element(spec, out)},
           [pbw.format_element(spec, out)])
 

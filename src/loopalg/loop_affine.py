@@ -7,8 +7,8 @@ the central cocycle when the flavor asks for it, with the central element
 specialized to the level.
 
 A letter's code, its letter_key, is one int: with B basis vectors, (k, n)
-is 2nB + k and D is -B.  The Poisson side (ad_lines, the monomial orders,
-the reduction engine and growth) works on codes.
+is 2nB + k and D is -B.  The products of both algebras, the monomial
+orders, the reduction engine and growth work on codes.
 """
 
 from .errors import InvariantError
@@ -100,31 +100,35 @@ class AlgebraSpec:
         return "b%d@t^%d" % (L[0] + 1, L[1])
 
 
+def code_bracket(spec, x, y):
+    """[x, y] of two letter codes: a list of (code, coefficient) and the
+    central constant, the cocycle at the spec's level."""
+    B, B2 = spec.B, 2 * spec.B
+    if x == -B or y == -B:      # [d, z] = n z for z at t^n; d is at t^0
+        z = y if x == -B else x
+        n = (z + B) // B2
+        return ([(z, n if x == -B else -n)] if n else ()), 0
+    n1, k1 = divmod(x, B2)
+    n2, k2 = divmod(y, B2)
+    base = B2 * (n1 + n2)
+    terms = [(base + k, c) for k, c in spec.basis.line_bracket(k1, k2)]
+    if spec.has_cocycle and n1 + n2 == 0:
+        return terms, spec.basis.line_killing(k1, k2) * spec.level * n1
+    return terms, 0
+
+
 def letter_bracket(spec, L1, L2, grmd=False):
     """[L1, L2] as a dict mapping length <= 1 monomials to scalars.
 
     With grmd=True the bracket of the md-associated-graded structure is
     used instead: no cocycle, and letters of opposite t-power sign
     commute."""
-    if L1 == D and L2 == D:
+    if grmd and D not in (L1, L2) and L1[1] * L2[1] < 0:
         return {}
-    if L1 == D or L2 == D:
-        L = L2 if L1 == D else L1
-        n = L[1]
-        if n == 0:
-            return {}
-        return {(L,): n if L1 == D else -n}
-    k1, n1 = L1
-    k2, n2 = L2
-    if grmd and ((n1 > 0 > n2) or (n2 > 0 > n1)):
-        return {}
-    out = {}
-    for k, c in spec.basis.line_bracket(k1, k2):
-        out[((k, n1 + n2),)] = c
-    if spec.has_cocycle and not grmd and n1 + n2 == 0:
-        c = spec.basis.line_killing(k1, k2) * spec.level * n1
-        if c:
-            out[()] = c
+    terms, const = code_bracket(spec, spec.letter_key(L1), spec.letter_key(L2))
+    out = {(spec.letter_of(z),): c for z, c in terms}
+    if const and not grmd:
+        out[()] = const
     return out
 
 

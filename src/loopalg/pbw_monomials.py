@@ -1,14 +1,15 @@
-"""Standard monomials, straightening, and the two monomial orders.
+"""Standard monomials, the two monomial orders, and products.
 
 Elements are dicts mapping monomials (sorted tuples of letters) to scalars,
-in the symmetric and the enveloping algebra alike.  Straightening, products,
-parsing, formatting and leading take (k, n) letters; ad_lines, the sizes,
-the orders and leading_code take letter codes (see loop_affine).
+in the symmetric and the enveloping algebra alike.  ad_lines, u_ad_lines,
+the sizes, the orders and leading_code take letter codes (see loop_affine).
+straighten, u_product, u_commutator, poisson, leading and format_element
+take (k, n) letters; the enveloping-algebra ones encode at the edge.
 """
 
 from bisect import bisect
 
-from .loop_affine import letter_bracket
+from .loop_affine import code_bracket, letter_bracket
 from .scalars import format_scalar
 
 
@@ -21,17 +22,6 @@ def add_into(acc, mono, c):
         acc[mono] = v
     else:
         acc.pop(mono, None)
-
-
-def elem_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        add_into(out, m, c)
-    return out
-
-
-def elem_neg(a):
-    return {m: -v for m, v in a.items()}
 
 
 def mono_sorted(spec, letters):
@@ -84,49 +74,28 @@ def leading_code(spec, elem, reverse=False):
     return best, elem[best]
 
 
-# -------------------------------------------------------------- products
+# ----------------------------------------------------------- Poisson side
 
-def straighten(spec, word, coeff=1):
-    """Rewrite an arbitrary word of letters as a combination of standard
-    monomials of the enveloping algebra, by adjacent transpositions."""
+def _images(spec, lines, e, k0, comb):
+    """[sum(c_k * b_k t^e), b_k0 t^n] as (terms, const), stored in comb
+    under k0: terms are (basis index, coefficient) at t^(n + e), and const
+    is the cocycle constant when n = -e, or None."""
+    basis = spec.basis
+    coc = spec.has_cocycle
     acc = {}
-    stack = [(tuple(word), coeff)]
-    while stack:
-        w, c = stack.pop()
-        pos = -1
-        for i in range(len(w) - 1):
-            if spec.letter_key(w[i]) > spec.letter_key(w[i + 1]):
-                pos = i
-                break
-        if pos < 0:
-            add_into(acc, w, c)
-            continue
-        x, y = w[pos], w[pos + 1]
-        stack.append((w[:pos] + (y, x) + w[pos + 2:], c))
-        for m, bc in letter_bracket(spec, x, y).items():
-            stack.append((w[:pos] + m + w[pos + 2:], c * bc))
-    return acc
-
-
-def u_product(spec, a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            for m, c in straighten(spec, m1 + m2, c1 * c2).items():
-                add_into(out, m, c)
-    return out
-
-
-def u_commutator(spec, a, b):
-    return elem_add(u_product(spec, a, b), elem_neg(u_product(spec, b, a)))
-
-
-def s_product(spec, a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            add_into(out, mono_sorted(spec, m1 + m2), c1 * c2)
-    return out
+    const = None
+    for k, ck in lines:
+        for k2, c2 in basis.line_bracket(k, k0):
+            prev = acc.get(k2)
+            c = ck * c2
+            acc[k2] = c if prev is None else prev + c
+        if coc:
+            kap = basis.line_killing(k, k0)
+            if kap:
+                c = ck * kap * spec.level * e
+                const = c if const is None else const + c
+    got = comb[k0] = ([(k2, c) for k2, c in acc.items() if c], const or None)
+    return got
 
 
 def ad_lines(spec, lines, e, elem):
@@ -135,32 +104,10 @@ def ad_lines(spec, lines, e, elem):
 
     The acting lines are aggregated once per target basis index so the
     inner loop touches each output term exactly once."""
-    basis = spec.basis
-    line_bracket = basis.line_bracket
-    coc = spec.has_cocycle
     B, B2 = spec.B, 2 * spec.B
     shift = B2 * e
-    comb = {}
-
-    def images(k0):
-        acc = {}
-        const = None
-        for k, ck in lines:
-            for k2, c2 in line_bracket(k, k0):
-                prev = acc.get(k2)
-                c = ck * c2
-                acc[k2] = c if prev is None else prev + c
-            if coc:
-                kap = basis.line_killing(k, k0)
-                if kap:
-                    c = ck * kap * spec.level * e
-                    const = c if const is None else const + c
-        got = comb[k0] = ([(k2, c) for k2, c in acc.items() if c],
-                          const or None)
-        return got
-
     # [D, x t^e] = -e x t^e, with no constant term
-    d_terms = [(k, -e * ck) for k, ck in lines if e], None
+    comb = {-B: ([(k, -e * ck) for k, ck in lines if e], None)}
     out = {}
     get = out.get
     for mono, c0 in elem.items():
@@ -168,8 +115,7 @@ def ad_lines(spec, lines, e, elem):
             rest = mono[:i] + mono[i + 1:]
             k0 = (x + B) % B2 - B       # -B for D
             base = x - k0 + shift       # the code of (0, n + e)
-            terms, const = (d_terms if x == -B
-                            else comb.get(k0) or images(k0))
+            terms, const = comb.get(k0) or _images(spec, lines, e, k0, comb)
             for k2, c in terms:
                 L2 = base + k2
                 j = bisect(rest, L2)
@@ -201,6 +147,82 @@ def poisson(spec, a, b, grmd=False):
                     for mo, bc in br.items():
                         add_into(out, mono_sorted(spec, rest + mo), c * bc)
     return out
+
+
+# ------------------------------------------------------ enveloping side
+
+def _left_mul(spec, p, m, c, acc):
+    """Add c * p * m to acc and return acc, for a word p and a standard
+    monomial m, on codes.  The letters of p go onto m from the right, and
+    a letter x > m[0] passes it: x m = m[0] (x m[1:]) + [x, m[0]] m[1:]."""
+    if len(p) > 1:
+        for t, v in _left_mul(spec, p[-1:], m, c, {}).items():
+            _left_mul(spec, p[:-1], t, v, acc)
+    elif not p or not m or p[0] <= m[0]:
+        add_into(acc, p + m, c)
+    else:
+        x, y, rest = p[0], m[0], m[1:]
+        for t, v in _left_mul(spec, p, rest, c, {}).items():
+            _left_mul(spec, (y,), t, v, acc)
+        terms, const = code_bracket(spec, x, y)
+        for z, cz in terms:
+            _left_mul(spec, (z,), rest, c * cz, acc)
+        if const:
+            add_into(acc, rest, c * const)
+    return acc
+
+
+def u_product(spec, a, b):
+    """a * b in the enveloping algebra; a's monomials may be any words."""
+    b, out = spec.encode(b), {}
+    for m, c in spec.encode(a).items():
+        for t, v in b.items():
+            _left_mul(spec, m, t, c * v, out)
+    return spec.decode(out)
+
+
+def straighten(spec, word, coeff=1):
+    """A word of letters, times coeff, as standard monomials of U."""
+    return u_product(spec, {tuple(word): coeff}, {(): 1})
+
+
+def u_ad_lines(spec, lines, e, elem):
+    """ad_lines in the enveloping algebra, by the derivation rule
+    [x, m] = sum_i m[:i] [x, m_i] m[i+1:]."""
+    B, B2 = spec.B, 2 * spec.B
+    shift = B2 * e
+    comb = {-B: ([(k, -e * ck) for k, ck in lines if e], None)}
+    out = {}
+    for mono, c0 in elem.items():
+        for i, x in enumerate(mono):
+            k0 = (x + B) % B2 - B       # -B for D
+            base = x - k0 + shift       # the code of (0, n + e)
+            terms, const = comb.get(k0) or _images(spec, lines, e, k0, comb)
+            head, tail = mono[:i], mono[i + 1:]
+            part = {tail: c0 * const} if const and base == 0 else {}
+            for k2, c in terms:
+                _left_mul(spec, (base + k2,), tail, c0 * c, part)
+            for t, v in part.items():   # head goes in front of each term
+                if head and t and head[-1] > t[0]:      # not standard
+                    _left_mul(spec, head, t, v, out)
+                else:
+                    add_into(out, head + t, v)
+    return out
+
+
+def u_commutator(spec, a, b):
+    """[a, b] in the enveloping algebra, for a a combination of letters;
+    any other a raises ValueError."""
+    b, out = spec.encode(b), {}
+    for (x,), c in spec.encode(a).items():     # ValueError unless (x,)
+        if x == -spec.B:        # [d, m] = deg(m) m
+            part = {m: c * v * mono_deg(spec, m) for m, v in b.items()}
+        else:
+            n, k = divmod(x, 2 * spec.B)
+            part = u_ad_lines(spec, [(k, c)], n, b)
+        for m, v in part.items():
+            add_into(out, m, v)
+    return spec.decode(out)
 
 
 def format_element(spec, elem):

@@ -35,22 +35,14 @@ class ReductionTrace:
     def bracket(self, lines, exponent):
         self.steps.append(("bracket", tuple(lines), exponent))
 
-    def acting_element(self, spec, step):
-        _, lines, e = step
-        return {((k, e),): c for k, c in lines}
-
     def replay(self, spec, start, commutator=False):
         """Apply the recorded steps to `start`; with commutator=True the
         steps run in the enveloping algebra of `spec` instead of the
         symmetric one."""
-        if commutator:
-            x = start
-            for step in self.steps:
-                x = pbw.u_commutator(spec, self.acting_element(spec, step), x)
-            return x
+        ad = pbw.u_ad_lines if commutator else pbw.ad_lines
         x = spec.encode(start)
         for _, lines, e in self.steps:
-            x = pbw.ad_lines(spec, lines, e, x)
+            x = ad(spec, lines, e, x)
         return spec.decode(x)
 
 

@@ -49,6 +49,18 @@ def test_straighten_golden(capsys):
     assert out.strip() == "1*b1@t^-1*b3@t^1 + 1*b2@t^0 + 4"
 
 
+@pytest.mark.parametrize("element,want", [
+    ("1*b3@t^1*b1@t^-1 + -1*b1@t^-1*b3@t^1", "1*b2@t^0 + 4"),
+    ("1*b3@t^1*b1@t^-1 + -1*b1@t^-1*b3@t^1 + -1*b2@t^0 + -4", "0"),
+])
+def test_straighten_golden_terms_cancel(capsys, element, want):
+    code, out, _ = invoke(
+        capsys, "straighten", "A1:r1", "--flavor", "affine", "--level", "1",
+        element)
+    assert code == 0
+    assert out.strip() == want
+
+
 def test_bracket(capsys):
     code, out, _ = invoke(capsys, "bracket", "A1:r1",
                           "1*b3@t^0", "1*b1@t^0")

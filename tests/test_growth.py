@@ -80,7 +80,7 @@ def brute_force_ideal_dim(spec, gens, j):
             continue
         for L in letters:
             lat = {(L,): spec.scalar(1)}
-            queue.append(pbw.s_product(spec, lat, elem))
+            queue.append(tup.s_product(spec, lat, elem))
             queue.append(pbw.poisson(spec, lat, elem))
     return len(pivots)
 
@@ -144,7 +144,7 @@ def echelon_saturate(spec, gens, j):
             full.add((M, L))
         for k, n in letters:
             if M + n + 1 <= j and (M + n + 1, L + lw) not in full:
-                queue.append(pbw.s_product(spec, {((k, n),): 1}, vec))
+                queue.append(tup.s_product(spec, {((k, n),): 1}, vec))
             if M + n <= j and (M + n, L) not in full:
                 nv = tup.ad_lines(spec, ((k, 1),), n, vec)
                 if nv:

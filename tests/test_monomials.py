@@ -1,4 +1,6 @@
 import random
+import zlib
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,52 @@ def test_straighten_associativity_random(tb_cache, label, flavor, level):
         assert a == b
 
 
+@pytest.mark.parametrize("label,flavor,level", [
+    ("A1:r1", "affine", 1),
+    ("A2:r2", "loop", 0),
+    ("D4:r3", "derived", "1/2"),
+])
+def test_straighten_matches_transposition_oracle(tb_cache, label, flavor,
+                                                 level):
+    """Letter insertion against adjacent transpositions, on random words
+    of length 0 to 6 (with d where the flavor has it)."""
+    spec = AlgebraSpec(tb_cache(label), flavor=flavor, level=Fraction(level))
+    rng = random.Random(zlib.crc32(label.encode()))
+    for _ in range(120):
+        word = tuple(rand_letter(spec, rng, allow_d=True)
+                     for _ in range(rng.randrange(0, 7)))
+        c = spec.scalar(rng.randrange(1, 5))
+        assert pbw.straighten(spec, word, c) == tup.straighten(spec, word, c)
+
+
+@pytest.mark.parametrize("label,flavor,level", [
+    ("A1:r1", "affine", 1),
+    ("A2:r2", "derived", 1),
+    ("D4:r3", "derived", "1/2"),
+])
+def test_u_bracket_is_a_derivation(tb_cache, label, flavor, level):
+    """[x, u v] = [x, u] v + u [x, v] for letters x and standard u, v."""
+    spec = AlgebraSpec(tb_cache(label), flavor=flavor, level=Fraction(level))
+    rng = random.Random(zlib.crc32(label.encode()) + 1)
+    for _ in range(30):
+        x = {(rand_letter(spec, rng, allow_d=True),): spec.scalar(1)}
+        u, v = (rand_elem(spec, rng, maxlen=3, allow_d=True)
+                for _ in range(2))
+        lhs = pbw.u_commutator(spec, x, pbw.u_product(spec, u, v))
+        rhs = tup.elem_add(
+            pbw.u_product(spec, pbw.u_commutator(spec, x, u), v),
+            pbw.u_product(spec, u, pbw.u_commutator(spec, x, v)))
+        assert lhs == rhs
+
+
+def test_u_commutator_needs_letters_first(tb_cache):
+    spec = AlgebraSpec(tb_cache("A1:r1"))
+    b = {((0, 1),): spec.scalar(1)}
+    for a in ({((0, 1), (2, 0)): 1}, {(): 1}):
+        with pytest.raises(ValueError):
+            pbw.u_commutator(spec, a, b)
+
+
 def test_commutator_of_letters_is_letter_bracket(tb_cache):
     spec = AlgebraSpec(tb_cache("A1:r1"), flavor="affine", level=1)
     rng = random.Random(5)
@@ -105,17 +153,17 @@ def test_poisson_jacobi_and_leibniz(tb_cache):
             x = rand_elem(spec, rng, allow_d=True)
             y = rand_elem(spec, rng, allow_d=True)
             z = rand_elem(spec, rng, allow_d=True)
-            jac = pbw.elem_add(
+            jac = tup.elem_add(
                 pbw.poisson(spec, x, pbw.poisson(spec, y, z, grmd), grmd),
-                pbw.elem_add(
+                tup.elem_add(
                     pbw.poisson(spec, y, pbw.poisson(spec, z, x, grmd), grmd),
                     pbw.poisson(spec, z, pbw.poisson(spec, x, y, grmd),
                                 grmd)))
             assert jac == {}
-            lhs = pbw.poisson(spec, x, pbw.s_product(spec, y, z), grmd)
-            rhs = pbw.elem_add(
-                pbw.s_product(spec, pbw.poisson(spec, x, y, grmd), z),
-                pbw.s_product(spec, y, pbw.poisson(spec, x, z, grmd)))
+            lhs = pbw.poisson(spec, x, tup.s_product(spec, y, z), grmd)
+            rhs = tup.elem_add(
+                tup.s_product(spec, pbw.poisson(spec, x, y, grmd), z),
+                tup.s_product(spec, y, pbw.poisson(spec, x, z, grmd)))
             assert lhs == rhs
 
 

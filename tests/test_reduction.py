@@ -7,6 +7,8 @@ from loopalg import pbw_monomials as pbw
 from loopalg import reduction_engine as eng
 from loopalg.loop_affine import D, AlgebraSpec
 
+import tuple_oracles as tup
+
 
 def rand_generator(spec, rng, m, span=1):
     """A random nonzero length-m monomial generator with small exponents."""
@@ -158,26 +160,56 @@ def test_project_to_derived_d_squared(tb_cache):
     assert all(len(m) == 2 for m in H)
 
 
+def certificate(spec, F, letters):
+    """A target over `letters` just above the plan's threshold, and the
+    trace that reaches it from F."""
+    plan = eng.reduction_plan(spec, F, letters)
+    k = plan["threshold"]
+    M = []
+    for b in letters:
+        k += 2 * spec.r + 1
+        n = k + (b.s - k) % spec.r
+        M.append((b.index, n))
+        k = n
+    M = tuple(M)
+    return M, eng.construct_H_M(spec, F, M, plan=plan)[1]
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_lift_to_U_preserves_leading_term(level, tb_cache):
     spec = AlgebraSpec(tb_cache("A1:r1"))
     spec_u = AlgebraSpec(tb_cache("A1:r1"), flavor="derived", level=level)
-    e = spec.basis.theta_plus.index
     rng = random.Random(17)
     for m in (1, 2):
         F = rand_generator(spec, rng, m)
         letters = tuple(spec.basis.elements[L[0]]
                         for L in rand_target(spec, rng, m, 0))
-        plan = eng.reduction_plan(spec, F, letters)
-        k = plan["threshold"]
-        M = []
-        for b in letters:
-            k += 2 * spec.r + 1
-            n = k + (b.s - k) % spec.r
-            M.append((b.index, n))
-            k = n
-        M = tuple(M)
-        H, trace = eng.construct_H_M(spec, F, M, plan=plan)
+        M, trace = certificate(spec, F, letters)
         HU = eng.lift_to_U(spec_u, F, trace)
         lead, _ = pbw.leading(spec_u, HU)
         assert lead == M
+
+
+@pytest.mark.parametrize("label", ["A1:r1", "A2:r2", "D4:r3"])
+def test_lift_to_U_equals_product_difference_replay(label, tb_cache):
+    """Whole lifted elements, derivation rule against one difference of
+    products per step, at levels 0 and 1."""
+    spec = AlgebraSpec(tb_cache(label))
+    rng = random.Random(zlib.crc32(label.encode()))
+    cases = []
+    for m in (1, 2):
+        for _ in range(2):
+            F = rand_generator(spec, rng, m)
+            letters = tuple(spec.basis.elements[L[0]]
+                            for L in rand_target(spec, rng, m, 0))
+            cases.append((F, certificate(spec, F, letters)[1]))
+    if label == "A1:r1":    # the length-3 shape of the lift benchmark
+        F = {pbw.mono_sorted(spec, ((0, -1), (1, -1), (0, 1))):
+             spec.scalar(1)}
+        letters = tuple(spec.basis.elements[k] for k in (0, 2, 0))
+        cases.append((F, certificate(spec, F, letters)[1]))
+    for level in (0, 1):
+        spec_u = AlgebraSpec(tb_cache(label), flavor="derived", level=level)
+        for F, trace in cases:
+            got = eng.lift_to_U(spec_u, F, trace)
+            assert got and got == tup.lift_to_U(spec_u, F, trace)

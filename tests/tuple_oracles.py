@@ -1,12 +1,17 @@
-"""Letter order, monomial sizes, orders and ad_lines on (k, n) letters.
+"""Letter order, monomial sizes, orders and ad_lines on (k, n) letters,
+and the products of both algebras written the direct way.
 
-The library's Poisson side works on one-integer letter codes.  These are
-the same functions written directly on (k, n) letters, with the letter
-order as a tuple key, kept as oracles for the coded versions.
+The library works on one-integer letter codes.  These are the same
+functions written directly on (k, n) letters, with the letter order as a
+tuple key, kept as oracles for the coded versions.  The enveloping-algebra
+oracles straighten by adjacent transpositions on a stack of whole words
+and take commutators as differences of products; they share only the
+letter bracket with the library's letter insertion and derivation rule.
+s_product, elem_add and elem_neg serve the tests alone.
 """
 
-from loopalg.loop_affine import D
-from loopalg.pbw_monomials import add_into
+from loopalg.loop_affine import D, letter_bracket
+from loopalg.pbw_monomials import add_into, mono_sorted
 
 
 def letter_key(L):
@@ -71,3 +76,69 @@ def ad_lines(spec, lines, e, elem):
                     if kap:
                         add_into(out, rest, c0 * ck * kap * spec.level * e)
     return out
+
+
+# ------------------------------------------------------------- products
+
+def elem_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        add_into(out, m, c)
+    return out
+
+
+def elem_neg(a):
+    return {m: -v for m, v in a.items()}
+
+
+def s_product(spec, a, b):
+    """a * b in the symmetric algebra."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            add_into(out, mono_sorted(spec, m1 + m2), c1 * c2)
+    return out
+
+
+def straighten(spec, word, coeff=1):
+    """A word as standard monomials of the enveloping algebra, by adjacent
+    transpositions on a stack of whole words."""
+    acc = {}
+    stack = [(tuple(word), coeff)]
+    while stack:
+        w, c = stack.pop()
+        pos = -1
+        for i in range(len(w) - 1):
+            if letter_key(w[i]) > letter_key(w[i + 1]):
+                pos = i
+                break
+        if pos < 0:
+            add_into(acc, w, c)
+            continue
+        x, y = w[pos], w[pos + 1]
+        stack.append((w[:pos] + (y, x) + w[pos + 2:], c))
+        for m, bc in letter_bracket(spec, x, y).items():
+            stack.append((w[:pos] + m + w[pos + 2:], c * bc))
+    return acc
+
+
+def u_product(spec, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            for m, c in straighten(spec, m1 + m2, c1 * c2).items():
+                add_into(out, m, c)
+    return out
+
+
+def u_commutator(spec, a, b):
+    return elem_add(u_product(spec, a, b), elem_neg(u_product(spec, b, a)))
+
+
+def lift_to_U(spec_u, H, trace):
+    """A trace replayed in the enveloping algebra, one product difference
+    per step."""
+    x = H
+    for _, lines, e in trace.steps:
+        x = u_commutator(spec_u, {((k, e),): c for k, c in lines}, x)
+    return x

@@ -9,6 +9,7 @@ are parenthesized, e.g. `(1+2w)`.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -140,8 +141,6 @@ def _emit(args, command, payload, text_lines, csv_rows=None):
         print(json.dumps({"command": command, "payload": payload,
                           "version": VERSION}))
     elif args.emit == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not defined for %r" % command)
         buf = io.StringIO()
         w = csv.writer(buf)
         for row in csv_rows:
@@ -375,23 +374,30 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+@functools.cache
 def build_parser():
+    """The `loopalg` argument parser, built on the first call and shared
+    by every later one in the process.  It is not built at import, which
+    would add the build's few milliseconds to every `import loopalg`.
+
+    Sharing is safe because parsing leaves the parser as it was:
+    `parse_args` writes only to the new namespace, argparse copies the
+    `--ideal-gen` default list before it appends to it, and no command
+    mutates a parsed value."""
     p = _Parser(
         prog="loopalg",
         description="Exact computations in twisted loop and affine "
                     "Kac-Moody algebras.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, flavor_default="loop", level=True):
+    def common(sp):
         sp.add_argument("algebra", help="label like A2:r2 or D4:r3")
-        sp.add_argument("--flavor", default=flavor_default,
+        sp.add_argument("--flavor", default="loop",
                         choices=["loop", "current", "poscurrent", "affine",
                                  "derived"])
-        if level:
-            sp.add_argument("--level", default="0",
-                            help="central-element value (a scalar)")
-        sp.add_argument("--emit", default="text",
-                        choices=["text", "json", "csv"])
+        sp.add_argument("--level", default="0",
+                        help="central-element value (a scalar)")
+        sp.add_argument("--emit", default="text", choices=["text", "json"])
 
     sp = sub.add_parser("basis", help="print the equivariant basis")
     sp.add_argument("algebra")

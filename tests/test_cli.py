@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import loopalg
-from loopalg.cli import run
+from loopalg.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -227,6 +228,18 @@ def test_negative_element_option(capsys, argv, option, value, code):
     assert spaced[0] == code and "expected one argument" not in spaced[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "A1:r1", "1*b3@t^0", "1*b1@t^0"],
+    ["straighten", "A1:r1", "1*b3@t^1*b1@t^-1"],
+    ["leading-term", "A1:r1", "1*b3@t^2"],
+])
+def test_emit_csv_only_for_tables(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--emit", "csv")
+    assert code == 2 and out == "" and "invalid choice" in err
+    code, out, _ = invoke(capsys, argv[0], "--help")
+    assert code == 0 and "{text,json}" in out and "csv" not in out
+
+
 _GRAMMAR = st.text(alphabet="0123456789bdtwe.@^*+-/() ")
 
 
@@ -236,6 +249,56 @@ _GRAMMAR = st.text(alphabet="0123456789bdtwe.@^*+-/() ")
 def test_element_grammar_fuzz(capsys, text):
     assert run(["leading-term", "A1:r1", "--", text]) in (0, 1, 2)
     assert run(["project-derived", "A1:r1", "--elem=" + text]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+_COMMANDS = ["basis", "bracket", "straighten", "leading-term", "reduce",
+             "project-derived", "growth", "character", "partitions",
+             "asymptotic", "subalgebra-sl2hat"]
+_LABELS = ["A1:r1", "A2:r2", "D4:r3", "A0", "X5", "A2:r5", ":r1", "A1"]
+_OPTIONS = ["--flavor", "--level", "--emit", "--order", "--generator",
+            "--target", "--uniform-n", "--elem", "--ideal-gen", "--max-md",
+            "--k1", "--k2", "--terms", "--n", "--parts", "--index", "--help",
+            "--", "-h", "--bogus"]
+_VALUES = ["loop", "current", "poscurrent", "affine", "derived", "text",
+           "json", "csv", "standard", "reverse", "odd", "mod:3,1", "mod:0,1"]
+_NUMBERS = ["-1", "0", "1", "2", "3", "5", "1/2", "x"]
+_SNIPPETS = ["1*b1@t^0", "-2*b3@t^1", "1*b3@t^1*b1@t^-1", "1*d*b3@t^1",
+             "(1+2w)*b2@t^0", "1*b1@t^3", "1*b2@t^2 + -1*b3@t^0", "0", "1",
+             "1*garbage", "1*b9@t^0", "1/0*b1@t^0", "1*b1@t^0*(2", ""]
+_TOKEN = st.sampled_from(_COMMANDS + _LABELS + _OPTIONS + _VALUES + _NUMBERS
+                         + _SNIPPETS)
+# each command with its required arguments; L, E and N are drawn slots
+_SHAPES = [
+    ["basis", "L"], ["bracket", "L", "E", "E"], ["straighten", "L", "E"],
+    ["leading-term", "L", "E"],
+    ["reduce", "L", "--generator", "E", "--target", "E"],
+    ["project-derived", "L", "--elem", "E"],
+    ["growth", "L", "--ideal-gen", "E", "--max-md", "N"],
+    ["character", "--k1", "N", "--k2", "N"], ["partitions", "--n", "N"],
+    ["asymptotic", "--n", "N"], ["subalgebra-sl2hat", "L", "--index", "N"],
+]
+_SLOTS = {"L": st.sampled_from(_LABELS), "E": st.sampled_from(_SNIPPETS),
+          "N": st.sampled_from(_NUMBERS)}
+
+
+def _shaped(shape):
+    """The shape's slots filled, then up to two tokens, 7 in all."""
+    slots = st.tuples(*(_SLOTS.get(t, st.just(t)) for t in shape))
+    rest = st.lists(_TOKEN, max_size=min(2, 7 - len(shape)))
+    return st.tuples(slots, rest).map(lambda p: [*p[0], *p[1]])
+
+
+# any tokens, or a shape that gets past argparse more often
+_ARGV = st.one_of(st.lists(_TOKEN, max_size=7),
+                  st.sampled_from(_SHAPES).flatmap(_shaped))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_argv_fuzz(capsys, argv):
+    assert run(argv) in (0, 1, 2)
     capsys.readouterr()
 
 
@@ -258,4 +321,61 @@ def test_python_m_loopalg():
 def test_import_leaves_mpmath_unloaded():
     proc = run_python(
         "-c", "import sys, loopalg; sys.exit('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+# one of each outcome: success, argparse usage error, domain error, help,
+# an appended option given twice then once, and a negative positional
+_REUSE_ARGVS = [
+    ["bracket", "A1:r1", "1*b3@t^0", "1*b1@t^0"],
+    ["leading-term", "A1:r1", "1*b3@t^2", "--order", "sideways"],
+    ["partitions", "--n", "-2"],
+    ["basis", "--help"],
+    ["growth", "A1:r1", "--ideal-gen", "1*b3@t^1", "--ideal-gen",
+     "1*b1@t^1", "--max-md", "3"],
+    ["growth", "A1:r1", "--ideal-gen", "1*b3@t^1", "--max-md", "3"],
+    ["bracket", "A1:r1", "-3*b1@t^0", "1*b3@t^0"],
+]
+
+
+def test_reused_parser_carries_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")      # help and usage line width
+    forward = [invoke(capsys, *argv) for argv in _REUSE_ARGVS]
+    backward = [invoke(capsys, *argv) for argv in reversed(_REUSE_ARGVS)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0, 2, 1, 0, 0, 0, 0]
+    for i in (1, 4, 6):
+        proc = run_python("-m", "loopalg", *_REUSE_ARGVS[i])
+        assert (proc.returncode, proc.stdout, proc.stderr) == forward[i]
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        made.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert invoke(capsys, "partitions", "--n", "5")[0] == 0
+    assert made
+    built = len(made)
+    assert invoke(capsys, "character", "--k1", "1", "--k2", "1",
+                  "--terms", "3")[0] == 0
+    assert len(made) == built
+
+
+def test_import_builds_no_parser():
+    proc = run_python("-c", """if True:
+        import argparse, sys
+        made = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kw):
+            made.append(self)
+            init(self, *args, **kw)
+        argparse.ArgumentParser.__init__ = counted
+        import loopalg
+        sys.exit(len(made))""")
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -195,6 +196,24 @@ def test_reduce_builds_the_plan_once(capsys, monkeypatch):
 def test_bad_input_fails_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code in (1, 2) and out == "" and err
+
+
+def _readme_examples():
+    """The command lines of the `sh` block under `## CLI` in README.md,
+    without the leading `loopalg`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda a: a[0])
+def test_readme_examples(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and out.strip(), err
 
 
 def test_character_zero_terms(capsys):

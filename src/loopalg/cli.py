@@ -8,12 +8,13 @@ are parenthesized, e.g. `(1+2w)`.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import re
 import sys
+from itertools import accumulate
 
 from . import __version__ as VERSION
 from . import growth_harness as gh
@@ -72,10 +73,7 @@ def parse_letter(spec, tok):
     if not 0 <= k < len(spec.basis.elements):
         raise DomainError("basis index %d out of range 1..%d"
                           % (k + 1, len(spec.basis.elements)))
-    try:
-        return spec.letter(k, n)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    return spec.letter(k, n)
 
 
 def parse_terms(spec, text):
@@ -123,10 +121,8 @@ def parse_monomial(spec, text):
 # ------------------------------------------------------------ serialization
 
 def format_chevalley(rs, elem):
-    bits = []
-    for k in sorted(elem.coeffs):
-        bits.append("%s*%s" % (format_scalar(elem.coeffs[k]), rs.label(k)))
-    return " + ".join(bits) if bits else "0"
+    return " + ".join("%s*%s" % (format_scalar(elem.coeffs[k]), rs.label(k))
+                      for k in sorted(elem.coeffs)) or "0"
 
 
 def trace_payload(spec, trace):
@@ -136,19 +132,33 @@ def trace_payload(spec, trace):
             for _, lines, e in trace.steps]
 
 
-def _emit(args, command, payload, text_lines, csv_rows=None):
+def _table(header, layout, rows):
+    """A table as (payload, text lines, CSV rows): one JSON object per
+    row, and text laid out by `layout` for the header and each row alike
+    (for an int, %s prints what %d prints)."""
+    return ([dict(zip(header, row)) for row in rows],
+            [layout % tuple(row) for row in [header, *rows]],
+            [header, *rows])
+
+
+def _element(spec, elem, trace=None):
+    """An element as (payload, text lines, CSV rows), with the reduction
+    trace in the payload where there is one; there is no CSV form."""
+    text = pbw.format_element(spec, elem)
+    payload = {"element": text}
+    if trace is not None:
+        payload["trace"] = trace_payload(spec, trace)
+    return payload, [text], None
+
+
+def _emit(args, payload, text_lines, csv_rows):
     if args.emit == "json":
-        print(json.dumps({"command": command, "payload": payload,
+        print(json.dumps({"command": args.command, "payload": payload,
                           "version": VERSION}))
     elif args.emit == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in csv_rows:
-            w.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        csv.writer(sys.stdout).writerows(csv_rows)
     else:
-        for line in text_lines:
-            print(line)
+        print(*text_lines, sep="\n")
 
 
 def _spec(args, flavor=None):
@@ -161,39 +171,25 @@ def _spec(args, flavor=None):
 
 
 # ----------------------------------------------------------------- commands
+#
+# Each command returns (payload, text lines, CSV rows) for `_emit`; the CSV
+# rows are None where `--emit csv` is not offered.
 
 def cmd_basis(args):
-    spec = AlgebraSpec(args.algebra)
-    basis = spec.basis
-    rows = []
-    for b in basis.elements:
-        flag = {True: "pos", False: "neg"}.get(b.positive, "cartan")
-        rows.append({
-            "index": b.index + 1,
-            "name": "b%d" % (b.index + 1),
-            "sigma_weight": b.s,
-            "kind": flag,
-            "order_key": [b.s, b.lt],
-            "chevalley": format_chevalley(basis.rs, b.elem),
-        })
-    header = ["index", "name", "sigma_weight", "kind", "order_key",
-              "chevalley"]
-    csv_rows = [header] + [[r[h] for h in header] for r in rows]
-    text = ["%-5s %-5s %-12s %-7s %-10s %s" % tuple(header)]
-    for r in rows:
-        text.append("%-5d %-5s %-12d %-7s %-10s %s"
-                    % (r["index"], r["name"], r["sigma_weight"], r["kind"],
-                       str(r["order_key"]), r["chevalley"]))
-    _emit(args, "basis", rows, text, csv_rows)
+    basis = AlgebraSpec(args.algebra).basis
+    kind = {True: "pos", False: "neg"}
+    return _table(
+        ["index", "name", "sigma_weight", "kind", "order_key", "chevalley"],
+        "%-5s %-5s %-12s %-7s %-10s %s",
+        [[b.index + 1, "b%d" % (b.index + 1), b.s,
+          kind.get(b.positive, "cartan"), [b.s, b.lt],
+          format_chevalley(basis.rs, b.elem)] for b in basis.elements])
 
 
 def cmd_bracket(args):
     spec = _spec(args)
-    a = parse_element(spec, args.elements[0])
-    b = parse_element(spec, args.elements[1])
-    out = pbw.poisson(spec, a, b)
-    _emit(args, "bracket", {"element": pbw.format_element(spec, out)},
-          [pbw.format_element(spec, out)])
+    a, b = (parse_element(spec, text) for text in args.elements)
+    return _element(spec, pbw.poisson(spec, a, b))
 
 
 def cmd_straighten(args):
@@ -202,8 +198,7 @@ def cmd_straighten(args):
     for c, word in parse_terms(spec, args.element):
         for m, v in pbw.straighten(spec, word, c).items():
             pbw.add_into(out, m, v)
-    _emit(args, "straighten", {"element": pbw.format_element(spec, out)},
-          [pbw.format_element(spec, out)])
+    return _element(spec, out)
 
 
 def cmd_leading_term(args):
@@ -213,9 +208,8 @@ def cmd_leading_term(args):
         raise DomainError("the zero element has no leading term")
     mono, coeff = pbw.leading(spec, elem, reverse=(args.order == "reverse"))
     word = "*".join(spec.format_letter(L) for L in mono) or "1"
-    payload = {"monomial": word, "coefficient": str(coeff)}
-    _emit(args, "leading-term", payload,
-          ["%s  (coefficient %s)" % (word, coeff)])
+    return ({"monomial": word, "coefficient": str(coeff)},
+            ["%s  (coefficient %s)" % (word, coeff)], None)
 
 
 def cmd_reduce(args):
@@ -239,20 +233,15 @@ def cmd_reduce(args):
     if not args.uniform_n:
         n = plan["threshold"]
     ell = re_engine.min_exponent(spec, spec.encode(F))
-    payload = {"h_m": pbw.format_element(spec, H),
-               "trace": trace_payload(spec, trace), "n": n, "ell": ell}
-    print(json.dumps({"command": "reduce", "payload": payload,
-                      "version": VERSION}))
+    return ({"h_m": pbw.format_element(spec, H),
+             "trace": trace_payload(spec, trace), "n": n, "ell": ell},
+            None, None)
 
 
 def cmd_project_derived(args):
     spec = _spec(args, flavor="affine")
     F = parse_element(spec, args.elem)
-    H, trace = re_engine.project_to_derived(spec, F)
-    payload = {"element": pbw.format_element(spec, H),
-               "trace": trace_payload(spec, trace)}
-    _emit(args, "project-derived", payload,
-          [pbw.format_element(spec, H)])
+    return _element(spec, *re_engine.project_to_derived(spec, F))
 
 
 def cmd_growth(args):
@@ -264,35 +253,20 @@ def cmd_growth(args):
     if J < 0:
         raise DomainError("--max-md must be >= 0")
     amb = gh.ambient_dimension_series(spec, J)
-    sat = gh.saturate(spec, gens, J)
-    ideal = sat["dims_by_md"]
+    ideal = accumulate(gh.saturate(spec, gens, J)["dims_by_md"])
     m = max((len(m_) for g in gens for m_ in g), default=1)
-    bound = None
-    if len(gens) == 1 and gens[0] and m >= 1:
+    bound = [None] * (J + 1)
+    if len(gens) == 1 and gens[0] and 1 <= m <= 2:
         loop = AlgebraSpec(spec.basis, flavor="loop")
-        try:
-            if m <= 2:
-                n = re_engine.uniform_threshold(loop, gens[0], m)
-                bound = [gh.count_normal_words(
-                    len(spec.basis.elements), m, max(n, 1), j)
-                    for j in range(J + 1)]
-        except ValueError:
-            bound = None
-    rows = []
-    tot_i = 0
-    for j in range(J + 1):
-        tot_i += ideal[j]
-        rows.append({"j": j, "dim_full": amb[j], "dim_ideal": tot_i,
-                     "dim_quotient": amb[j] - tot_i,
-                     "bound": bound[j] if bound else None})
-    header = ["j", "dim_full", "dim_ideal", "dim_quotient", "bound"]
-    csv_rows = [header] + [[r[h] for h in header] for r in rows]
-    text = ["%6s %9s %10s %13s %12s" % tuple(header)]
-    for r in rows:
-        text.append("%6d %9d %10d %13d %12s"
-                    % (r["j"], r["dim_full"], r["dim_ideal"],
-                       r["dim_quotient"], r["bound"]))
-    _emit(args, "growth", rows, text, csv_rows)
+        with contextlib.suppress(ValueError):
+            n = re_engine.uniform_threshold(loop, gens[0], m)
+            bound = [gh.count_normal_words(
+                len(spec.basis.elements), m, max(n, 1), j)
+                for j in range(J + 1)]
+    return _table(["j", "dim_full", "dim_ideal", "dim_quotient", "bound"],
+                  "%6s %9s %10s %13s %12s",
+                  [[j, a, i, a - i, b] for j, (a, i, b)
+                   in enumerate(zip(amb, ideal, bound))])
 
 
 def cmd_character(args):
@@ -301,68 +275,120 @@ def cmd_character(args):
     if args.terms < 0:
         raise DomainError("--terms must be >= 0")
     series, exact = hilb_integrable(args.k1, args.k2, args.terms)
-    payload = {"coefficients": [int(c) for c in series.coeffs],
-               "exact": exact}
-    header = ["n", "coefficient"]
-    csv_rows = [header] + [[i, int(c)] for i, c in enumerate(series.coeffs)]
+    coeffs = [int(c) for c in series.coeffs]
     text = ["exact" if exact else "lower bound (exact series undetermined)",
-            " ".join(str(c) for c in series.coeffs)]
-    _emit(args, "character", payload, text, csv_rows)
+            " ".join(map(str, coeffs))]
+    return ({"coefficients": coeffs, "exact": exact}, text,
+            [["n", "coefficient"], *enumerate(coeffs)])
 
 
 def cmd_partitions(args):
-    if args.parts == "odd":
-        parts = "odd"
-    elif args.parts.startswith("mod:"):
+    parts = args.parts
+    if parts.startswith("mod:"):
         try:
-            m, rho = (int(x) for x in args.parts[4:].split(","))
+            m, rho = (int(x) for x in parts[4:].split(","))
         except ValueError:
             raise UsageError("--parts mod:<m>,<rho>")
         parts = ("mod", m, rho)
-    else:
+    elif parts != "odd":
         raise UsageError("--parts must be odd or mod:<m>,<rho>")
     if args.n < 0:
         raise DomainError("n must be nonnegative")
     val = count_partitions(args.n, parts)
-    _emit(args, "partitions", {"n": args.n, "count": val}, [str(val)],
-          [["n", "count"], [args.n, val]])
+    return ({"n": args.n, "count": val}, [str(val)],
+            [["n", "count"], [args.n, val]])
 
 
 def cmd_asymptotic(args):
     if args.n < 1:
         raise DomainError("n must be >= 1")
     ratio = asymptotic_ratio(args.n)
-    _emit(args, "asymptotic", {"n": args.n, "ratio": ratio},
-          ["%.12f" % ratio], [["n", "ratio"], [args.n, ratio]])
+    return ({"n": args.n, "ratio": ratio}, ["%.12f" % ratio],
+            [["n", "ratio"], [args.n, ratio]])
 
 
 def cmd_subalgebra(args):
     spec = _spec(args, flavor="affine")
-    try:
-        data = subalgebra_sl2hat(spec, args.index)
-    except (ValueError, IndexError) as exc:
-        raise DomainError(str(exc))
+    data = subalgebra_sl2hat(spec, args.index)
     failed = [desc for desc, ok in verify_sl2hat(spec, data) if not ok]
     if failed:
         raise InvariantError("affine sl2 families do not close: %s"
                              % ", ".join(failed))
     k = data["k"]
-    payload = {
-        "e": pbw.format_element(
-            spec, {((data["e"].index, k),): 1}),
-        "f": pbw.format_element(
-            spec, {((data["f"].index, -k),): data["f_scale"]}),
-        "kappa": str(data["kappa"]),
-        "central_scale": str(data["central_scale"]),
-        "orbit_size": data["orbit_size"],
-    }
-    text = ["e' = %s" % payload["e"], "f' = %s" % payload["f"],
-            "kappa(e',f') = %s" % payload["kappa"],
-            "central scale = %s" % payload["central_scale"]]
-    _emit(args, "subalgebra-sl2hat", payload, text)
+    e = pbw.format_element(spec, {((data["e"].index, k),): 1})
+    f = pbw.format_element(spec, {((data["f"].index, -k),): data["f_scale"]})
+    kappa, scale = str(data["kappa"]), str(data["central_scale"])
+    return ({"e": e, "f": f, "kappa": kappa, "central_scale": scale,
+             "orbit_size": data["orbit_size"]},
+            ["e' = " + e, "f' = " + f, "kappa(e',f') = " + kappa,
+             "central scale = " + scale], None)
 
 
 # ------------------------------------------------------------------ driver
+
+def _arg(flag, **keywords):
+    return flag, keywords
+
+
+_ALGEBRA, _LEVEL = _arg("algebra"), _arg("--level", default="0")
+_EMIT_TEXT = _arg("--emit", default="text", choices=["text", "json"])
+_EMIT_TABLE = _arg("--emit", default="text", choices=["text", "json", "csv"])
+_ELEMENT_COMMON = [
+    _arg("algebra", help="label like A2:r2 or D4:r3"),
+    _arg("--flavor", default="loop",
+         choices=["loop", "current", "poscurrent", "affine", "derived"]),
+    _arg("--level", default="0", help="central-element value (a scalar)"),
+    _EMIT_TEXT]
+
+# name -> (function, help, arguments), in `--help` order.  The arguments
+# are (name or flag, add_argument keywords) in the order that usage and
+# help list them; `--emit` is one of them because its place in that order
+# differs between commands.
+_COMMANDS = {
+    "basis": (cmd_basis, "print the equivariant basis",
+              [_ALGEBRA, _EMIT_TABLE]),
+    "bracket": (cmd_bracket, "Poisson bracket of two elements",
+                [*_ELEMENT_COMMON, _arg("elements", nargs=2)]),
+    "straighten": (cmd_straighten,
+                   "normal-order a word in the enveloping algebra",
+                   [*_ELEMENT_COMMON, _arg("element")]),
+    "leading-term": (cmd_leading_term, "leading standard monomial",
+                     [*_ELEMENT_COMMON, _arg("element"),
+                      _arg("--order", default="standard",
+                           choices=["standard", "reverse"])]),
+    "reduce": (cmd_reduce, "ideal element with prescribed leading term",
+               [_ALGEBRA, _arg("--generator", required=True),
+                _arg("--target", required=True),
+                _arg("--uniform-n", action="store_true"),
+                _arg("--flavor", default="loop", choices=["loop"]), _LEVEL,
+                _arg("--emit", default="json", choices=["json"])]),
+    "project-derived": (cmd_project_derived,
+                        "bracket the degree letter away",
+                        [_ALGEBRA, _LEVEL, _arg("--elem", required=True),
+                         _EMIT_TEXT]),
+    "growth": (cmd_growth, "filtered dimension table",
+               [_ALGEBRA, _arg("--ideal-gen", action="append", default=[],
+                               help="ideal generator (repeatable)"),
+                _arg("--max-md", dest="max_md", type=int, required=True),
+                _arg("--flavor", default="current",
+                     choices=["current", "poscurrent"]),
+                _LEVEL, _EMIT_TABLE]),
+    "character": (cmd_character, "Hilbert series of an integrable module",
+                  [_arg("--k1", type=int, required=True),
+                   _arg("--k2", type=int, required=True),
+                   _arg("--terms", type=int, default=20), _EMIT_TABLE]),
+    "partitions": (cmd_partitions, "restricted partition count",
+                   [_arg("--n", type=int, required=True),
+                    _arg("--parts", default="odd"), _EMIT_TABLE]),
+    "asymptotic": (cmd_asymptotic,
+                   "odd-part partition count vs. its asymptotic",
+                   [_arg("--n", type=int, required=True), _EMIT_TABLE]),
+    "subalgebra-sl2hat": (cmd_subalgebra,
+                          "affine sl2 subalgebra at a vertex",
+                          [_ALGEBRA, _arg("--index", type=int, required=True),
+                           _LEVEL, _EMIT_TEXT]),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with -<digit>, such as -3*b1@t^0, as a
@@ -389,121 +415,24 @@ def build_parser():
         description="Exact computations in twisted loop and affine "
                     "Kac-Moody algebras.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("algebra", help="label like A2:r2 or D4:r3")
-        sp.add_argument("--flavor", default="loop",
-                        choices=["loop", "current", "poscurrent", "affine",
-                                 "derived"])
-        sp.add_argument("--level", default="0",
-                        help="central-element value (a scalar)")
-        sp.add_argument("--emit", default="text", choices=["text", "json"])
-
-    sp = sub.add_parser("basis", help="print the equivariant basis")
-    sp.add_argument("algebra")
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json", "csv"])
-    sp.set_defaults(func=cmd_basis)
-
-    sp = sub.add_parser("bracket", help="Poisson bracket of two elements")
-    common(sp)
-    sp.add_argument("elements", nargs=2)
-    sp.set_defaults(func=cmd_bracket)
-
-    sp = sub.add_parser("straighten",
-                        help="normal-order a word in the enveloping algebra")
-    common(sp)
-    sp.add_argument("element")
-    sp.set_defaults(func=cmd_straighten)
-
-    sp = sub.add_parser("leading-term", help="leading standard monomial")
-    common(sp)
-    sp.add_argument("element")
-    sp.add_argument("--order", default="standard",
-                    choices=["standard", "reverse"])
-    sp.set_defaults(func=cmd_leading_term)
-
-    sp = sub.add_parser("reduce",
-                        help="ideal element with prescribed leading term")
-    sp.add_argument("algebra")
-    sp.add_argument("--generator", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--uniform-n", action="store_true")
-    sp.add_argument("--flavor", default="loop", choices=["loop"])
-    sp.add_argument("--level", default="0")
-    sp.add_argument("--emit", default="json", choices=["json"])
-    sp.set_defaults(func=cmd_reduce)
-
-    sp = sub.add_parser("project-derived",
-                        help="bracket the degree letter away")
-    sp.add_argument("algebra")
-    sp.add_argument("--level", default="0")
-    sp.add_argument("--elem", required=True)
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json"])
-    sp.set_defaults(func=cmd_project_derived)
-
-    sp = sub.add_parser("growth", help="filtered dimension table")
-    sp.add_argument("algebra")
-    sp.add_argument("--ideal-gen", action="append", default=[],
-                    help="ideal generator (repeatable)")
-    sp.add_argument("--max-md", dest="max_md", type=int, required=True)
-    sp.add_argument("--flavor", default="current",
-                    choices=["current", "poscurrent"])
-    sp.add_argument("--level", default="0")
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json", "csv"])
-    sp.set_defaults(func=cmd_growth)
-
-    sp = sub.add_parser("character",
-                        help="Hilbert series of an integrable module")
-    sp.add_argument("--k1", type=int, required=True)
-    sp.add_argument("--k2", type=int, required=True)
-    sp.add_argument("--terms", type=int, default=20)
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json", "csv"])
-    sp.set_defaults(func=cmd_character)
-
-    sp = sub.add_parser("partitions", help="restricted partition count")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--parts", default="odd")
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json", "csv"])
-    sp.set_defaults(func=cmd_partitions)
-
-    sp = sub.add_parser("asymptotic",
-                        help="odd-part partition count vs. its asymptotic")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json", "csv"])
-    sp.set_defaults(func=cmd_asymptotic)
-
-    sp = sub.add_parser("subalgebra-sl2hat",
-                        help="affine sl2 subalgebra at a vertex")
-    sp.add_argument("algebra")
-    sp.add_argument("--index", type=int, required=True)
-    sp.add_argument("--level", default="0")
-    sp.add_argument("--emit", default="text",
-                    choices=["text", "json"])
-    sp.set_defaults(func=cmd_subalgebra)
-
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func)
     return p
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        args.func(args)
+        _emit(args, *args.func(args))
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

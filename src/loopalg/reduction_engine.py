@@ -100,13 +100,17 @@ def realize_congruence_class(spec, H, cls, trace=None):
     """From H on codes, supported on lowest-root letters, build G whose
     leading monomial under the right-to-left order runs through the lines
     cls[0], ..., cls[m-1] at strictly increasing t-powers, by an induction
-    over positions.  Returns (G, exponents, trace)."""
+    over positions.  Returns (G, exponents, trace).  Raises ValueError
+    when cls is not as long as the longest monomial of H."""
     basis = spec.basis
     r = basis.r
     d = basis.theta_height
     tp, tm = basis.theta_plus, basis.theta_minus
     s_t = tp.s
     m = max(len(mo) for mo in H)
+    if m != len(cls):
+        raise ValueError("target of length %d, but the generator reduces "
+                         "to monomials of length %d" % (len(cls), m))
     if trace is None:
         trace = ReductionTrace()
 

@@ -192,6 +192,10 @@ def test_reduce_builds_the_plan_once(capsys, monkeypatch):
     ["straighten", "A1:r1", "--flavor", "affine", "--level", "1e9999999",
      "1*b3@t^1*b1@t^-1"],
     ["growth", "A1:r1", "--ideal-gen=1*b3@t^1 + -1*b3@t^0", "--max-md", "4"],
+    ["reduce", "A1:r1", "--generator", "1*b3@t^1*b1@t^-1",
+     "--target", "1*b1@t^3"],
+    ["reduce", "A1:r1", "--generator", "1*b3@t^1",
+     "--target", "1*b1@t^30*b3@t^40"],
 ])
 def test_bad_input_fails_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -208,7 +208,8 @@ def cmd_leading_term(args):
         raise DomainError("the zero element has no leading term")
     mono, coeff = pbw.leading(spec, elem, reverse=(args.order == "reverse"))
     word = "*".join(spec.format_letter(L) for L in mono) or "1"
-    return ({"monomial": word, "coefficient": str(coeff)},
+    coeff = format_scalar(coeff)
+    return ({"monomial": word, "coefficient": coeff},
             ["%s  (coefficient %s)" % (word, coeff)], None)
 
 

@@ -78,6 +78,20 @@ def test_leading_term(capsys):
     assert code == 0 and out.startswith("b1@t^0*b3@t^2")
 
 
+def test_leading_term_coefficient_round_trips(capsys):
+    from loopalg.cli import parse_element
+    from loopalg.loop_affine import AlgebraSpec
+    from loopalg.scalars import format_scalar, parse_scalar
+    code, out, _ = invoke(capsys, "leading-term", "D4:r3", "(1+2w)*b1@t^0",
+                          "--emit", "json")
+    p = json.loads(out)["payload"]
+    assert code == 0 and p["coefficient"] == "(1+2w)"
+    assert format_scalar(parse_scalar(p["coefficient"], 3)) == "(1+2w)"
+    spec = AlgebraSpec("D4:r3")
+    assert parse_element(spec, "%s*%s" % (p["coefficient"], p["monomial"])) \
+        == parse_element(spec, "(1+2w)*b1@t^0")
+
+
 def test_reduce_payload(capsys):
     code, out, _ = invoke(capsys, "reduce", "A1:r1",
                           "--generator", "1*b3@t^1",

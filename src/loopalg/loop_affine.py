@@ -141,7 +141,6 @@ def subalgebra_sl2hat(spec, i):
     the sigma-orbits of simple roots in rep order."""
     basis = spec.basis
     r = basis.r
-    cartan0 = basis.cartan0
     # negative simple generators of the fixed subalgebra: the 0-component
     # root vectors built from orbits of simple roots
     simple_orbits = []

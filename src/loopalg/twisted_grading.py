@@ -256,9 +256,6 @@ class TwistedBasis:
     def theta_height(self):
         return self.rs.height(self.rs.highest_root)
 
-    def check_equivariance(self, b):
-        return self.sigma(b.elem) == b.elem.scale(eta(self.r, b.s))
-
     def bracket(self, x, y):
         return self.rs.bracket(x, y)
 

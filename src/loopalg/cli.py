@@ -14,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from itertools import accumulate
 
 from . import __version__ as VERSION
 from . import growth_harness as gh
@@ -254,7 +253,7 @@ def cmd_growth(args):
     if J < 0:
         raise DomainError("--max-md must be >= 0")
     amb = gh.ambient_dimension_series(spec, J)
-    ideal = accumulate(gh.saturate(spec, gens, J)["dims_by_md"])
+    quot = gh.quotient_dimension_series(spec, gens, J)
     m = max((len(m_) for g in gens for m_ in g), default=1)
     bound = [None] * (J + 1)
     if len(gens) == 1 and gens[0] and 1 <= m <= 2:
@@ -266,8 +265,8 @@ def cmd_growth(args):
                 for j in range(J + 1)]
     return _table(["j", "dim_full", "dim_ideal", "dim_quotient", "bound"],
                   "%6s %9s %10s %13s %12s",
-                  [[j, a, i, a - i, b] for j, (a, i, b)
-                   in enumerate(zip(amb, ideal, bound))])
+                  [[j, a, a - q, q, b] for j, (a, q, b)
+                   in enumerate(zip(amb, quot, bound))])
 
 
 def cmd_character(args):

@@ -18,13 +18,13 @@ from collections import Counter
 from itertools import accumulate
 
 from . import pbw_monomials as pbw
-from .errors import InvariantError
-from .reduction_engine import ReductionTrace
 from .scalars import div
 
 
 def letters_up_to(spec, j):
     """All letters of the flavor with md <= j, sorted."""
+    if j < 0:
+        raise ValueError("md cutoff must be >= 0")
     if spec.flavor not in ("current", "poscurrent"):
         raise ValueError("growth data needs a current-algebra flavor")
     low = 1 if spec.flavor == "poscurrent" else 0
@@ -36,8 +36,6 @@ def letters_up_to(spec, j):
 def md_series(spec, J):
     """Number of standard monomials of md exactly k, for k = 0..J: the
     coefficients of the product over letters x*t^n of 1/(1 - q^(n+1))."""
-    if J < 0:
-        raise ValueError("md cutoff must be >= 0")
     c = [1] + [0] * J
     for _, n in letters_up_to(spec, J):
         for M in range(n + 1, J + 1):
@@ -123,72 +121,44 @@ class _Groebner:
         return counts
 
 
-def _groebner(spec, gens, j, letter_order=None):
-    """The Groebner basis of the Poisson ideal of `gens` cut at md j, and the
-    records (md, vector on codes, steps) of the elements of V that entered it.
-    An element of V that reduces to 0 lies in the ideal of elements whose
-    brackets are taken, so its own brackets lie in the ideal as well."""
+def saturate(spec, gens, j):
+    """The Groebner basis of the Poisson ideal of the md-homogeneous `gens`
+    cut at md j.  An element of V that reduces to 0 lies in the ideal of
+    elements whose brackets are taken, so its own brackets lie in the
+    ideal as well."""
     letters = letters_up_to(spec, j)
     gens = [spec.encode(g) for g in gens]
     if any(len({pbw.mono_md(spec, m) for m in g}) > 1 for g in gens):
         raise ValueError("growth needs md-homogeneous ideal generators")
     rank = {spec.letter_key(L): i for i, L in enumerate(letters)}
     gb = _Groebner([n + 1 for _, n in letters], j)
-    if letter_order is not None:
-        letters = letter_order(letters)
     closure = [[] for _ in range(j + 1)]
-    for gi, g in enumerate(gens):
+    for g in gens:
         M = pbw.mono_md(spec, next(iter(g))) if g else j + 1
         if M <= j:
-            closure[M].append((g, (("seed", gi),)))
-    records = []
+            closure[M].append(g)
     for M in range(j + 1):
         for qa, g, qb, h in gb.pairs[M]:
             p = {}
             _add_multiple(p, qa, g[1], 1)
             _add_multiple(p, qb, h[1], -1)
             gb.insert(p)
-        for vec, steps in closure[M]:    # grows while it is walked
+        for vec in closure[M]:    # grows while it is walked
             if not gb.insert({tuple(map(rank.__getitem__, m)): c
                               for m, c in vec.items()}):
                 continue
-            records.append((M, vec, steps))
             for k, n in letters:
                 nv = pbw.ad_lines(spec, ((k, 1),), n, vec) if M + n <= j else 0
                 if nv:
-                    closure[M + n].append(
-                        (nv, steps + (("bracket", ((k, 1),), n),)))
-    return gb, records
-
-
-def saturate(spec, gens, j, with_traces=False, letter_order=None):
-    """The Poisson ideal of the md-homogeneous `gens` cut at md <= j: a
-    dict with its dimension in each md and, with_traces, the records (md,
-    vector, trace) of V, each replayable from its seed generator.
-    letter_order permutes the letters V is closed under; the dimensions
-    are order-independent."""
-    ambient = md_series(spec, j)
-    gb, records = _groebner(spec, gens, j, letter_order)
-    out = {"dims_by_md": [a - q for a, q in
-                          zip(ambient, gb.standard_counts(j))]}
-    if with_traces:
-        out["basis"] = [(M, spec.decode(vec), ReductionTrace(steps))
-                        for M, vec, steps in records]
-    return out
-
-
-def replay_growth_trace(spec, gens, trace):
-    """Re-run a saturation trace from its seed generator."""
-    if not trace.steps or trace.steps[0][0] != "seed":
-        raise InvariantError("a growth trace starts with its seed generator")
-    seed = gens[trace.steps[0][1]]
-    return ReductionTrace(trace.steps[1:]).replay(spec, seed)
+                    closure[M + n].append(nv)
+    return gb
 
 
 def quotient_dimension_series(spec, gens, J):
-    """dim F_j / (I cut at F_j) for j = 0..J, in one saturation run."""
-    ideal = accumulate(saturate(spec, gens, J)["dims_by_md"])
-    return [a - i for a, i in zip(ambient_dimension_series(spec, J), ideal)]
+    """dim F_j / (I cut at F_j) for j = 0..J, in one saturation run: by
+    Macaulay's theorem S/I and S/LT(I) have the same Hilbert function, so
+    the quotient's md pieces are counted by the standard monomials."""
+    return list(accumulate(saturate(spec, gens, J).standard_counts(J)))
 
 
 def ambient_dimension_series(spec, J):
@@ -205,33 +175,3 @@ def count_normal_words(dim_g, m, n, j):
     c = (j * dim_g) ** (m - 1) if j > 0 else 1
     return math.comb(dim_g * n + j, j) * c
 
-
-def classify_growth(series, window=5, drift=0.25):
-    """Heuristic growth class from trailing log-log slopes.
-
-    Fits log(dim) against log(j) by least squares over the last `window`
-    points and the window one step earlier; when the two slopes differ by
-    less than `drift` the series is called polynomial of degree
-    ceil(slope), otherwise superpolynomial.  Exact comparisons, not this
-    heuristic, carry the acceptance weight."""
-    pts = [(j, v) for j, v in enumerate(series) if j >= 1 and v > 0]
-    if len(pts) < window + 1:
-        raise ValueError("series too short to classify")
-
-    def slope(sub):
-        xs = [math.log(j) for j, _ in sub]
-        ys = [math.log(v) for _, v in sub]
-        n = len(xs)
-        mx = sum(xs) / n
-        my = sum(ys) / n
-        num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        den = sum((x - mx) ** 2 for x in xs)
-        return num / den
-
-    shift = window if len(pts) >= 2 * window else 1
-    s_now = slope(pts[-window:])
-    s_prev = slope(pts[-window - shift:len(pts) - shift])
-    if abs(s_now - s_prev) < drift:
-        return {"kind": "polynomial", "degree": math.ceil(s_now),
-                "slopes": (s_prev, s_now)}
-    return {"kind": "superpolynomial", "slopes": (s_prev, s_now)}

@@ -27,10 +27,6 @@ from .scalars import format_scalar, parse_scalar
 _LETTER_RE = re.compile(r"^b(\d+)@t\^(-?\d+)$")
 
 
-class DomainError(ValueError):
-    pass
-
-
 class UsageError(ValueError):
     pass
 
@@ -61,7 +57,7 @@ def _split_top(text, sep):
 def parse_letter(spec, tok):
     if tok == "d":
         if not spec.allow_d:
-            raise DomainError("the degree letter needs the affine flavor")
+            raise ValueError("the degree letter needs the affine flavor")
         return D
     m = _LETTER_RE.match(tok)
     if m is None:
@@ -70,7 +66,7 @@ def parse_letter(spec, tok):
     k = int(m.group(1)) - 1
     n = int(m.group(2))
     if not 0 <= k < len(spec.basis.elements):
-        raise DomainError("basis index %d out of range 1..%d"
+        raise ValueError("basis index %d out of range 1..%d"
                           % (k + 1, len(spec.basis.elements)))
     return spec.letter(k, n)
 
@@ -203,8 +199,6 @@ def cmd_straighten(args):
 def cmd_leading_term(args):
     spec = _spec(args)
     elem = parse_element(spec, args.element)
-    if not elem:
-        raise DomainError("the zero element has no leading term")
     mono, coeff = pbw.leading(spec, elem, reverse=(args.order == "reverse"))
     word = "*".join(spec.format_letter(L) for L in mono) or "1"
     coeff = format_scalar(coeff)
@@ -219,7 +213,7 @@ def cmd_reduce(args):
     if args.uniform_n:
         n = re_engine.uniform_threshold(spec, F, len(M))
         if M[0][1] <= n:
-            raise DomainError(
+            raise ValueError(
                 "target exponent %d not above uniform threshold %d"
                 % (M[0][1], n))
     letters = tuple(spec.basis.elements[L[0]] for L in M)
@@ -227,7 +221,7 @@ def cmd_reduce(args):
     try:
         H, trace = re_engine.construct_H_M(spec, F, M, plan=plan)
     except re_engine.ThresholdError as exc:
-        raise DomainError(
+        raise ValueError(
             "target exponent not above threshold %d for this class"
             % exc.threshold)
     if not args.uniform_n:
@@ -251,7 +245,7 @@ def cmd_growth(args):
     gens = [parse_element(spec, g) for g in args.ideal_gen]
     J = args.max_md
     if J < 0:
-        raise DomainError("--max-md must be >= 0")
+        raise ValueError("--max-md must be >= 0")
     amb = gh.ambient_dimension_series(spec, J)
     quot = gh.quotient_dimension_series(spec, gens, J)
     m = max((len(m_) for g in gens for m_ in g), default=1)
@@ -271,9 +265,9 @@ def cmd_growth(args):
 
 def cmd_character(args):
     if args.k1 < 0 or args.k2 < 0 or (args.k1 == 0 and args.k2 == 0):
-        raise DomainError("need nonnegative weight labels, not both zero")
+        raise ValueError("need nonnegative weight labels, not both zero")
     if args.terms < 0:
-        raise DomainError("--terms must be >= 0")
+        raise ValueError("--terms must be >= 0")
     series, exact = hilb_integrable(args.k1, args.k2, args.terms)
     coeffs = [int(c) for c in series.coeffs]
     text = ["exact" if exact else "lower bound (exact series undetermined)",
@@ -292,16 +286,12 @@ def cmd_partitions(args):
         parts = ("mod", m, rho)
     elif parts != "odd":
         raise UsageError("--parts must be odd or mod:<m>,<rho>")
-    if args.n < 0:
-        raise DomainError("n must be nonnegative")
     val = count_partitions(args.n, parts)
     return ({"n": args.n, "count": val}, [str(val)],
             [["n", "count"], [args.n, val]])
 
 
 def cmd_asymptotic(args):
-    if args.n < 1:
-        raise DomainError("n must be >= 1")
     ratio = asymptotic_ratio(args.n)
     return ({"n": args.n, "ratio": ratio}, ["%.12f" % ratio],
             [["n", "ratio"], [args.n, ratio]])

@@ -17,9 +17,8 @@ from .errors import InvariantError
 
 
 class ThresholdError(ValueError):
-    def __init__(self, threshold, cls):
+    def __init__(self, threshold):
         self.threshold = threshold
-        self.cls = cls
         super().__init__(
             "target t-powers must start strictly above %d" % threshold)
 
@@ -177,7 +176,7 @@ def realize_congruence_class(spec, H, cls, trace=None):
     return G, k, trace
 
 
-def lift_leading_term(spec, G, a, cls, M, partners, trace=None):
+def lift_leading_term(spec, G, a, M, partners, trace=None):
     """Bracket G with the partner lines at matched t-powers so that the
     leading standard monomial becomes exactly M; G and the result are on
     codes."""
@@ -224,8 +223,8 @@ def reduction_plan(spec, F, M_letters):
     H, trace = kill_positive_action(spec, spec.encode(F), "-", trace)
     G, a, trace = realize_congruence_class(spec, H, cls, trace)
     threshold = max(0, 2 * a[-1] - min_exponent(spec, G))
-    return {"G": G, "a": a, "cls": cls, "partners": partners,
-            "trace": trace, "threshold": threshold}
+    return {"G": G, "a": a, "partners": partners, "trace": trace,
+            "threshold": threshold}
 
 
 def construct_H_M(spec, F, M, plan=None):
@@ -236,9 +235,9 @@ def construct_H_M(spec, F, M, plan=None):
     if plan is None:
         plan = reduction_plan(spec, F, letters)
     if M[0][1] <= plan["threshold"]:
-        raise ThresholdError(plan["threshold"], plan["cls"])
+        raise ThresholdError(plan["threshold"])
     trace = ReductionTrace(plan["trace"].steps)
-    H, trace = lift_leading_term(spec, plan["G"], plan["a"], plan["cls"], M,
+    H, trace = lift_leading_term(spec, plan["G"], plan["a"], M,
                                  plan["partners"], trace)
     return spec.decode(H), trace
 

@@ -69,6 +69,8 @@ def weyl_kac_numerator(k1, k2, N):
     s1: (a, b) -> (a + 2b, -b).  Each reflection deepens the weight by
     the label it reflects, so the two reduced-word chains give O(sqrt N)
     terms."""
+    if N < 0:
+        raise ValueError("the term count must be >= 0")
     num = [0] * (N + 1)
     num[0] = 1
     for first in (0, 1):

@@ -107,6 +107,14 @@ def test_hilb_rejects_trivial_module():
         ch.hilb_integrable(0, 0, 10)
 
 
+@pytest.mark.parametrize("call", [lambda: ch.weyl_kac_numerator(1, 1, -1),
+                                  lambda: ch.hilb_integrable(1, 1, -1),
+                                  lambda: ch.hilb_integrable(2, 1, -1)])
+def test_negative_term_count_rejected(call):
+    with pytest.raises(ValueError, match="term count must be >= 0"):
+        call()
+
+
 def factorized_bound(k, N):
     """For odd k, prod 1/(1 - s^((k+1)j+1)) * prod (1 + s^h) with
     h = (k+1)(2j+1)/2, as one Euler product: 1 + s^h is

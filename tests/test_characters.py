@@ -107,12 +107,12 @@ def test_hilb_rejects_trivial_module():
         ch.hilb_integrable(0, 0, 10)
 
 
-@pytest.mark.parametrize("call", [lambda: ch.weyl_kac_numerator(1, 1, -1),
-                                  lambda: ch.hilb_integrable(1, 1, -1),
-                                  lambda: ch.hilb_integrable(2, 1, -1)])
-def test_negative_term_count_rejected(call):
+@pytest.mark.parametrize("func, k1, k2", [
+    (ch.weyl_kac_numerator, 1, 1), (ch.hilb_integrable, 1, 1),
+    (ch.hilb_integrable, 2, 1)])
+def test_negative_term_count_rejected(func, k1, k2):
     with pytest.raises(ValueError, match="term count must be >= 0"):
-        call()
+        func(k1, k2, -1)
 
 
 def factorized_bound(k, N):

@@ -67,7 +67,7 @@ def parse_letter(spec, tok):
     n = int(m.group(2))
     if not 0 <= k < len(spec.basis.elements):
         raise ValueError("basis index %d out of range 1..%d"
-                          % (k + 1, len(spec.basis.elements)))
+                         % (k + 1, len(spec.basis.elements)))
     return spec.letter(k, n)
 
 
